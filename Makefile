@@ -1,10 +1,11 @@
-# Developer entry points.  `make ci` is what the CI job runs: simlint, the
-# tier-1 test suite (once plain, once under the runtime determinism
-# sanitizer, once on the batched scheduler backend), a scenario-spec
-# schema check + dry-build, the observability self-check (spans/metrics/
-# exporters cross-verified), plus a quick-mode perf smoke that fails on
-# regressions beyond the tolerance against the committed BENCH_PERF.json
-# baseline.
+# Developer entry points.  `make ci` is what the CI job runs, one workflow
+# step per target: simlint, the tier-1 test suite (once plain, once under
+# the runtime determinism sanitizer), a scenario-spec schema check +
+# dry-build, the observability self-check (spans/metrics/exporters
+# cross-verified), plus a quick-mode perf smoke that fails on regressions
+# beyond the tolerance against the committed BENCH_PERF.json baseline.
+# `test-fleet` and `test-control` are local shortcuts for slices of
+# `test`, not CI lanes.
 #
 # `make lint` runs incrementally by default: simlint keeps a per-file
 # content-hash cache at build/simlint-cache.json, so a warm run on an
@@ -21,7 +22,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-stats test test-sanitize test-backend test-fleet test-control scenarios obs-check bench perf-check perf-write profile ci
+.PHONY: lint lint-stats test test-sanitize test-fleet test-control scenarios obs-check bench perf-check perf-write profile ci
 
 # Whole-program determinism & architecture analysis (rules SL001-SL015)
 # over src/ (strict profile) and tests/ + benchmarks/ (relaxed profile:
@@ -44,11 +45,6 @@ test:
 test-sanitize:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q
 
-# The same tier-1 suite on the optimized batched scheduler backend;
-# results must be identical (backend choice never changes simulation).
-test-backend:
-	REPRO_KERNEL_BACKEND=batched $(PYTHON) -m pytest -x -q
-
 # The fleet tier lane: sharded-vs-serial determinism, fluid-vs-exact
 # cross-validation within the documented tolerances, epoch protocol.
 test-fleet:
@@ -56,7 +52,7 @@ test-fleet:
 
 # The control-plane lane: detector hysteresis/grid semantics, planner
 # edge cases (partial plans, never exceptions), executor audit, and the
-# closed loop's cross-backend determinism pin, plus the aging policies
+# closed loop's plain-vs-sanitized determinism pin, plus the aging policies
 # that delegate to the same detector core.
 test-control:
 	$(PYTHON) -m pytest -x -q tests/control tests/aging
@@ -89,19 +85,19 @@ bench:
 
 # Kernel micro-benchmarks + fleet matrix + sub-second experiments,
 # guarded against the committed baseline.  Seconds, not a full sweep.
-# Kernel throughputs are recorded per scheduler backend and fleet wall
-# clocks per hosts x mode cell (BENCH_PERF.json schema 5); most gates
+# Kernel throughputs are recorded per kernel cell and fleet wall
+# clocks per hosts x mode cell (BENCH_PERF.json schema 6); most gates
 # compare against the committed
 # baseline and are therefore hardware-relative: on a machine slower
 # than the baseline's, widen the gate for one run with
 # `REPRO_PERF_TOLERANCE=1.6 make perf-check` (or --tolerance); if the
 # drift is real and permanent, rebaseline instead — run `make perf-write`
 # on quiet hardware and commit the rewritten BENCH_PERF.json.  The
-# batched-vs-reference events/sec speedup gate and the disabled-telemetry
-# overhead gate are the exceptions: both compare cells measured seconds
-# apart in the same run on the same machine, so no tolerance applies and
-# rebaselining cannot paper over a batched-backend slowdown or a
-# telemetry tax creeping into the metrics-off path.
+# fluid-vs-exact speedup gate and the disabled-telemetry overhead gate
+# are the exceptions: both compare cells measured seconds apart in the
+# same run on the same machine, so no tolerance applies and rebaselining
+# cannot paper over a fluid-mode slowdown or a telemetry tax creeping
+# into the metrics-off path.
 perf-check:
 	$(PYTHON) benchmarks/perf_report.py --check --mode quick
 
@@ -118,4 +114,4 @@ profile:
 	pr = cProfile.Profile(); pr.enable(); run_experiment('FIG9'); \
 	pr.disable(); pstats.Stats(pr).sort_stats('cumulative').print_stats(40)"
 
-ci: lint test test-sanitize test-backend test-fleet test-control scenarios obs-check perf-check
+ci: lint test test-sanitize scenarios obs-check perf-check

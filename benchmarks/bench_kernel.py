@@ -6,15 +6,13 @@ Standalone (prints JSON)::
 
 The numbers deliberately exercise the kernel's hottest paths:
 
-* **events/sec per backend** — a fleet of timeout-yielding processes
-  (~10k pending entries, the shape the paper's consolidation
-  experiments drive), measuring scheduling, event-state and
-  process-resumption machinery end to end on each scheduler backend;
-* **timer churn ops/sec per backend** — the fluid-sharing pattern:
-  every near-term completion cancels and re-arms a far-horizon
-  watchdog timer via ``Simulator.rearm_timer``, exercising lazy
-  deletion, compaction and (on the batched backend) far-tier bulk
-  absorption;
+* **events/sec** — a fleet of timeout-yielding processes (~10k
+  pending entries, the shape the paper's consolidation experiments
+  drive), measuring scheduling, event-state and process-resumption
+  machinery end to end;
+* **timer churn ops/sec** — the fluid-sharing pattern: every near-term
+  completion cancels and re-arms a far-future watchdog timer via
+  ``Simulator.rearm_timer``, exercising lazy deletion and compaction;
 * **records/sec** — ``Tracer.record`` with no subscribers, the
   always-on instrumentation cost every simulated action pays;
 * **select rows/sec** — windowed prefix+field queries over a populated
@@ -23,10 +21,8 @@ The numbers deliberately exercise the kernel's hottest paths:
   completion streams into the paper's rate series.
 
 All are also what ``benchmarks/perf_report.py`` records in
-``BENCH_PERF.json`` (per-backend matrix under ``kernel.backends``) and
-what the CI perf smoke guards against regressions — including the
-same-run requirement that the batched backend beat the reference on
-events/sec by the advertised factor.
+``BENCH_PERF.json`` (under ``kernel``) and what the CI perf smoke guards
+against regressions.
 """
 
 from __future__ import annotations
@@ -34,25 +30,17 @@ from __future__ import annotations
 import json
 import time
 
-#: Backends measured by the per-backend benchmarks, reference first so
-#: relative numbers read naturally in the report.
-BACKEND_NAMES = ("reference", "batched")
 
-
-def bench_event_throughput(
-    n: int = 300_000, procs: int = 10_000, backend: str = "reference"
-) -> float:
+def bench_event_throughput(n: int = 300_000, procs: int = 10_000) -> float:
     """Events processed per second by a fleet of timeout-yielding processes.
 
     ``procs`` generator processes each tick ``n // procs`` times, so the
-    backend holds ~``procs`` pending entries throughout — the fleet-scale
-    shape (thousands of VMs with in-flight work) where backend structure
-    dominates.  Single-digit pending sets are interpreter-bound and
-    barely distinguish backends.
+    heap holds ~``procs`` pending entries throughout — the fleet-scale
+    shape (thousands of VMs with in-flight work).
     """
     from repro.simkernel import Simulator
 
-    sim = Simulator(backend=backend)
+    sim = Simulator()
 
     def ticker(sim, ticks):
         timeout = sim.timeout
@@ -73,22 +61,19 @@ def _noop() -> None:
     """Callback for churn timers that must never do work when they fire."""
 
 
-def bench_timer_churn(
-    pools: int = 1_000, per: int = 200, backend: str = "reference"
-) -> float:
+def bench_timer_churn(pools: int = 1_000, per: int = 200) -> float:
     """Timer cancel/re-arm operations per second, fluid-sharing shaped.
 
     ``pools`` processes each tick ``per`` times; every tick re-arms a
-    far-horizon watchdog timer (cancel + schedule in one
+    far-future watchdog timer (cancel + schedule in one
     :meth:`~repro.simkernel.kernel.Simulator.rearm_timer` call), exactly
     the churn a fluid-sharing pool generates on every membership change.
     The watchdogs never fire — the run ends with every one of them
-    lazily dead, which is what makes compaction and far-tier handling
-    the measured cost.
+    lazily dead, which is what makes compaction the measured cost.
     """
     from repro.simkernel import Simulator
 
-    sim = Simulator(backend=backend)
+    sim = Simulator()
 
     def pool(slot):
         handle = None
@@ -212,48 +197,18 @@ def bench_telemetry_overhead(
     }
 
 
-def measure_backends(repeats: int = 3) -> dict[str, dict[str, float]]:
-    """Per-backend throughput matrix, best-of-``repeats`` per cell.
-
-    Backends alternate inside each repeat (rather than finishing one
-    backend before starting the other) so thermal or scheduler drift
-    hits both evenly — the relative gate compares cells from this one
-    run.
-    """
-    matrix: dict[str, dict[str, float]] = {
-        name: {"events_per_sec": 0.0, "timer_churn_ops_per_sec": 0.0}
-        for name in BACKEND_NAMES
-    }
-    for _ in range(repeats):
-        for name in BACKEND_NAMES:
-            cells = matrix[name]
-            cells["events_per_sec"] = max(
-                cells["events_per_sec"], bench_event_throughput(backend=name)
-            )
-            cells["timer_churn_ops_per_sec"] = max(
-                cells["timer_churn_ops_per_sec"], bench_timer_churn(backend=name)
-            )
-    return matrix
-
-
 def measure(repeats: int = 3) -> dict[str, object]:
-    """Kernel benchmark report: per-backend matrix + shared-path numbers.
+    """Kernel benchmark report.
 
     Best-of-``repeats`` everywhere (max filters out scheduler noise,
-    which only ever slows a run down).  ``backends`` holds the
-    per-backend throughput matrix; ``batched_speedup`` is the same-run
-    events/sec ratio the perf gate enforces.
+    which only ever slows a run down).
     """
-    backends = measure_backends(repeats)
     report: dict[str, object] = {
-        "backends": {
-            name: {k: round(v) for k, v in cells.items()}
-            for name, cells in backends.items()
-        },
-        "batched_speedup": round(
-            backends["batched"]["events_per_sec"]
-            / backends["reference"]["events_per_sec"],
-            2,
+        "events_per_sec": round(
+            max(bench_event_throughput() for _ in range(repeats))
+        ),
+        "timer_churn_ops_per_sec": round(
+            max(bench_timer_churn() for _ in range(repeats))
         ),
         "trace_records_per_sec": round(
             max(bench_trace_throughput() for _ in range(repeats))

@@ -9,15 +9,13 @@ to it shows up in review) and checks fresh measurements against it::
 ``--check`` fails (exit 1) when any guarded number regresses by more
 than the tolerance against the committed baseline — wall clocks slower,
 or kernel throughputs lower, by more than the allowed ratio (default
-1.30, i.e. 30 %).  Kernel throughputs are guarded per scheduler backend
-(the ``kernel.backends`` matrix) and fleet wall clocks per hosts × mode
-cell (the ``fleet.matrix``, schema 5).  Three gates are *relative within
-the fresh run* and therefore hardware-independent and tolerance-free:
-the batched backend must beat the reference on events/sec by at least
-``BATCHED_MIN_SPEEDUP``, the fluid workload mode must beat exact
-mode's wall clock by at least ``FLUID_MIN_SPEEDUP`` on the largest
-fleet size both modes run, and the disabled-telemetry event-loop tax
-(``kernel.telemetry.overhead_ratio``, schema 5) must stay under
+1.30, i.e. 30 %).  Kernel throughputs are guarded per ``kernel`` cell
+and fleet wall clocks per hosts × mode cell (the ``fleet.matrix``).  Two
+gates are *relative within the fresh run* and therefore
+hardware-independent and tolerance-free: the fluid workload mode must
+beat exact mode's wall clock by at least ``FLUID_MIN_SPEEDUP`` on the
+largest fleet size both modes run, and the disabled-telemetry
+event-loop tax (``kernel.telemetry.overhead_ratio``) must stay under
 ``TELEMETRY_MAX_OVERHEAD``.  Override the
 regression ratio with ``--tolerance 1.5`` or the
 ``REPRO_PERF_TOLERANCE`` environment variable when checking on hardware
@@ -57,15 +55,11 @@ REGRESSION_SLACK = 1.30
 before --check fails.  Overridable per run (--tolerance /
 REPRO_PERF_TOLERANCE) because wall clocks are hardware-relative."""
 
-BATCHED_MIN_SPEEDUP = 1.5
-"""The batched backend must beat the reference on events/sec by at least
-this factor *within one measurement run*.  Same-run relative, so no
-hardware tolerance applies — both backends saw the same machine."""
-
 FLUID_MIN_SPEEDUP = 10.0
 """The fluid workload mode must beat exact mode's wall clock by at least
 this factor on the largest fleet size both modes run (schema 4,
-``fleet.fluid_speedup``).  Same-run relative, like the backend gate."""
+``fleet.fluid_speedup``).  Same-run relative, so no hardware tolerance
+applies — both modes saw the same machine."""
 
 TELEMETRY_MAX_OVERHEAD = 1.5
 """Ceiling on the disabled-telemetry event-loop tax (schema 5,
@@ -157,7 +151,7 @@ def measure(smoke: bool, jobs: int) -> dict[str, typing.Any]:
     from repro.experiments import experiment_ids
 
     report: dict[str, typing.Any] = {
-        "schema": 5,
+        "schema": 6,
         "mode": "quick" if smoke else "full",
         "kernel": measure_kernel(),
         "fleet": measure_fleet(full=not smoke, jobs=jobs),
@@ -193,42 +187,15 @@ def check(
 
     fresh_kernel = fresh["kernel"]
     for metric, base in baseline.get("kernel", {}).items():
-        if metric == "backends":
-            # Schema >= 3: per-backend throughput matrix.
-            for name, cells in base.items():
-                fresh_cells = fresh_kernel.get("backends", {}).get(name, {})
-                for cell, cell_base in cells.items():
-                    now = fresh_cells.get(cell)
-                    if now is not None:
-                        guard(
-                            f"kernel [{name}] {cell}",
-                            cell_base,
-                            now,
-                            higher_is_better=True,
-                        )
-            continue
-        if metric in ("batched_speedup", "telemetry"):
+        if metric == "telemetry":
             continue  # gated below against the fresh run, not the baseline
         now = fresh_kernel.get(metric)
         if now is not None:
             guard(f"kernel {metric}", base, now, higher_is_better=True)
 
-    # Same-run relative gate, hardware-independent: the batched backend
-    # must earn its keep against the reference measured seconds apart on
-    # the same machine.  No tolerance — both sides saw identical noise.
-    speedup = fresh_kernel.get("batched_speedup")
-    if speedup is not None:
-        bad = speedup < BATCHED_MIN_SPEEDUP
-        mark = "FAIL" if bad else "ok"
-        print(
-            f"  [{mark}] kernel batched_speedup (same-run): "
-            f"required >= {BATCHED_MIN_SPEEDUP}, now {speedup:g}"
-        )
-        if bad:
-            failures += 1
-
-    # Same-run relative, like the backend gate: instrumentation left in
-    # actor code must stay near-free while telemetry is disabled.
+    # Same-run relative gate, hardware-independent: instrumentation left
+    # in actor code must stay near-free while telemetry is disabled.  No
+    # tolerance — both loops saw identical noise.
     overhead = fresh_kernel.get("telemetry", {}).get("overhead_ratio")
     if overhead is not None:
         bad = overhead > TELEMETRY_MAX_OVERHEAD
@@ -242,7 +209,7 @@ def check(
 
     # Schema >= 4: the fleet hosts x mode wall-clock matrix, plus the
     # same-run fluid-vs-exact speedup gate (hardware-independent for the
-    # same reason as the backend gate).
+    # same reason as the telemetry gate).
     fresh_fleet = fresh.get("fleet", {})
     for size, cells in baseline.get("fleet", {}).get("matrix", {}).items():
         fresh_cells = fresh_fleet.get("matrix", {}).get(size, {})

@@ -41,10 +41,9 @@ class RootHammer:
         seed: int = 0,
         hypervisor_cls: type[Hypervisor] = RootHammerHypervisor,
         host_name: str = "server",
-        backend: typing.Any = None,
         metrics: bool | None = None,
     ) -> None:
-        self.sim = Simulator(backend=backend, metrics=metrics)
+        self.sim = Simulator(metrics=metrics)
         self.streams = RandomStreams(seed)
         self.host = Host(
             self.sim,

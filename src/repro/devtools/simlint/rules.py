@@ -156,7 +156,7 @@ def privacy_message(owner_package: str, attr: str) -> str:
     if owner_package == "simkernel":
         return (
             f"backend-private attribute {attr!r} accessed outside "
-            "repro/simkernel; go through the SchedulerBackend "
+            "repro/simkernel; go through the ReferenceBackend "
             "interface (pending()/storage_size()/peek()/compact())"
         )
     if owner_package == "fleet":

@@ -37,7 +37,6 @@ from repro.jobs import (  # noqa: F401 - re-exported for back-compat
     SweepStats,
     _cache_load,
     _cache_store,
-    _env_fingerprint,
     _execute_cell,
     _profile_fingerprint,
     _resolve_jobs,

@@ -3,13 +3,13 @@
 :func:`run_fleet_shard` is a parallel-sweep cell function: plain dict
 plan in (see :meth:`~repro.fleet.spec.FleetSpec.shard_plans`), plain
 dict payload out.  It materializes the shard's hosts through
-:class:`~repro.scenario.builder.ScenarioBuilder` on the batched
-scheduler backend, enforces the epoch barrier (bring-up must finish
-inside ``warmup_s``; reboots start at absolute epoch times), and
-measures every workload over the fleet-wide observation window
-``[warmup_s, warmup_s + observe_s]`` — the same wall-aligned window in
-every shard, which is what makes merged shard payloads identical to a
-serial single-simulation run for fluid workloads.
+:class:`~repro.scenario.builder.ScenarioBuilder`, enforces the epoch
+barrier (bring-up must finish inside ``warmup_s``; reboots start at
+absolute epoch times), and measures every workload over the fleet-wide
+observation window ``[warmup_s, warmup_s + observe_s]`` — the same
+wall-aligned window in every shard, which is what makes merged shard
+payloads identical to a serial single-simulation run for fluid
+workloads.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ def run_fleet_shard(shard: dict) -> dict:
 
     built = ScenarioBuilder(
         spec,
-        backend=shard.get("backend", "batched"),
         # Telemetry collection needs the metric series even without a
         # policy; None keeps the spec-driven default.
         metrics=True if telemetry else None,

@@ -42,6 +42,7 @@ from repro.scenario.spec import (
     _require,
     _sub_tables,
 )
+from repro.simkernel.backends import DEFAULT_BACKEND
 
 HOST_TEMPLATE = "host{i}"
 """Default host name template; ``{i}`` is the global host index, so a
@@ -219,7 +220,7 @@ class FleetSpec:
                     "epoch_s": self.epoch_s,
                     "warmup_s": self.warmup_s,
                     "observe_s": self.observe_s,
-                    "backend": "batched",
+                    "backend": DEFAULT_BACKEND,
                     "telemetry": self.telemetry_enabled,
                 }
             )

@@ -11,9 +11,8 @@ order.  This module is the tier-independent machinery that exploits that:
   cells from another;
 * **memoisation** — each payload is stored in a content-addressed cache
   keyed on the cell's function, its parameters, the timing-profile
-  fingerprint, the ambient kernel configuration and a hash of the package
-  source, so re-running a sweep recomputes only cells whose inputs
-  actually changed.
+  fingerprint and a hash of the package source, so re-running a sweep
+  recomputes only cells whose inputs actually changed.
 
 It lives at the foundation layer because every execution tier rides on
 it: experiment sweeps (:mod:`repro.experiments.parallel`), scenario
@@ -39,9 +38,8 @@ from repro.errors import ReproError
 _CACHE_VERSION = 4
 """Bump to invalidate every cached payload at once.
 
-2: workload mode/sessions/tick entered the scenario spec schema and the
-kernel backend/horizon entered the digest material; payloads keyed under
-version 1 predate both and must never alias the new cells.
+2: workload mode/sessions/tick entered the scenario spec schema; payloads
+keyed under version 1 predate it and must never alias the new cells.
 
 3: scenario reports and fleet shard payloads gained the control-plane
 ``policy`` block (and specs the ``policy`` table); version-2 payloads
@@ -68,13 +66,10 @@ class Cell:
         """Content address of this cell's payload.
 
         Two cells share a digest only if they would compute the same
-        payload: same function, same parameters, same timing profile,
-        same package source and the same ambient kernel configuration
-        (scheduler backend + horizon — environment knobs a cell's worker
-        inherits, so flipping them must never replay a stale payload).
-        ``repr`` of the sorted parameter items is stable because cell
-        parameters are ints/floats/strs/bools (and, for spec cells,
-        canonically ordered dicts of those).
+        payload: same function, same parameters, same timing profile and
+        same package source.  ``repr`` of the sorted parameter items is
+        stable because cell parameters are ints/floats/strs/bools (and,
+        for spec cells, canonically ordered dicts of those).
         """
         material = repr(
             (
@@ -83,7 +78,6 @@ class Cell:
                 sorted(self.params.items()),
                 bool(full),
                 _profile_fingerprint(),
-                _env_fingerprint(),
                 code_version(),
             )
         )
@@ -97,23 +91,6 @@ def _profile_fingerprint() -> str:
     captures every calibrated constant an experiment can observe.
     """
     return repr(paper_testbed())
-
-
-def _env_fingerprint() -> str:
-    """Ambient kernel knobs worker processes inherit, as cache-key material.
-
-    The scheduler backend contract says results never depend on the
-    backend — but the cache must not *assume* the contract holds: a
-    payload computed under one backend/horizon must never satisfy a
-    lookup made under another, or a contract violation would be masked
-    by replay instead of caught by the differential tests.
-    """
-    return repr(
-        (
-            os.environ.get("REPRO_KERNEL_BACKEND") or "reference",
-            os.environ.get("REPRO_KERNEL_HORIZON") or "",
-        )
-    )
 
 
 _code_version: str | None = None

@@ -123,11 +123,6 @@ class ScenarioBuilder:
     ``profile`` overrides the spec's named profile with an explicit
     :class:`TimingProfile` instance (the experiment helpers use this to
     forward caller-supplied profiles without widening the spec schema).
-    ``backend`` selects the scheduler backend for the built simulator
-    (name, class, or instance — see
-    :func:`repro.simkernel.backends.resolve_backend`); ``None`` defers to
-    ``REPRO_KERNEL_BACKEND``, so whole experiment sweeps switch backends
-    via the environment without touching specs.
     ``metrics`` forces the built simulator's metrics registry on (or off)
     regardless of what the spec implies — fleet shards use it when
     telemetry collection is requested without a policy; ``None`` keeps
@@ -139,14 +134,12 @@ class ScenarioBuilder:
         self,
         spec: ScenarioSpec,
         profile: TimingProfile | None = None,
-        backend: typing.Any = None,
         metrics: bool | None = None,
     ) -> None:
         self.spec = spec
         self.profile = profile if profile is not None else resolve_profile(
             spec.profile
         )
-        self.backend = backend
         self.metrics = metrics
 
     def _metrics_mode(self) -> bool | None:
@@ -234,7 +227,6 @@ class ScenarioBuilder:
             seed=self.spec.seed,
             faults=faults,
             host_name=host_name,
-            backend=self.backend,
             metrics=self._metrics_mode(),
         )
         return BuiltScenario(
@@ -257,10 +249,7 @@ class ScenarioBuilder:
                     )
                 )
                 cursor += 1
-        sim = Simulator(
-            backend=self.backend,
-            metrics=self._metrics_mode(),
-        )
+        sim = Simulator(metrics=self._metrics_mode())
         cluster = Cluster(
             sim,
             size=len(layouts),

@@ -5,9 +5,8 @@ This subpackage is self-contained (no dependencies on the rest of
 
 * :class:`~repro.simkernel.kernel.Simulator` — clock, run loop, primitive
   factories;
-* :class:`~repro.simkernel.backends.SchedulerBackend` — pluggable event
-  storage (``reference`` heap or the optimized ``batched`` backend, picked
-  via ``Simulator(backend=...)`` / ``REPRO_KERNEL_BACKEND``);
+* :class:`~repro.simkernel.backends.ReferenceBackend` — the pending-event
+  heap with lazy deletion (``sim.backend``);
 * :class:`~repro.simkernel.events.Event`, timeouts, all-of/any-of conditions;
 * :class:`~repro.simkernel.process.Process` — generator-based activities
   with interrupts;
@@ -26,12 +25,7 @@ This subpackage is self-contained (no dependencies on the rest of
   ``REPRO_METRICS=1``, no-op otherwise).
 """
 
-from repro.simkernel.backends import (
-    BACKENDS,
-    BatchedBackend,
-    ReferenceBackend,
-    SchedulerBackend,
-)
+from repro.simkernel.backends import ReferenceBackend
 from repro.simkernel.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.simkernel.kernel import Simulator, TimerHandle
 from repro.simkernel.metrics import (
@@ -56,8 +50,6 @@ from repro.simkernel.tracing import TraceRecord, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BACKENDS",
-    "BatchedBackend",
     "Counter",
     "DeterminismSanitizer",
     "DeterminismWarning",
@@ -73,7 +65,6 @@ __all__ = [
     "Request",
     "Resource",
     "SPAN_NAMES",
-    "SchedulerBackend",
     "SanitizerReport",
     "SharedPool",
     "Simulator",

@@ -1,46 +1,20 @@
-"""Pluggable scheduler backends for the simulation kernel.
+"""The simulation kernel's pending-entry store.
 
 The :class:`~repro.simkernel.kernel.Simulator` owns the clock and the
 dispatch semantics; *where pending entries live and how the next one is
-found* is delegated to a :class:`SchedulerBackend`.  Two implementations
-ship:
+found* is hidden behind :class:`ReferenceBackend`: one binary heap, lazy
+deletion of cancelled timers, and a whole-heap compaction once cancelled
+entries dominate.
 
-:class:`ReferenceBackend`
-    The pure-python binary heap the kernel has always used, extracted
-    verbatim.  It is the semantic reference: every other backend must
-    reproduce its execution order bit-for-bit.
-
-:class:`BatchedBackend`
-    An optimized backend for fleet-scale runs.  Three structures replace
-    the single heap:
-
-    * a **monotone run** — a sorted list consumed by index.  Discrete-event
-      workloads schedule overwhelmingly forward in time, so most entries
-      append to the tail in already-sorted order (same-instant bursts at
-      one ``(time, priority)`` frontier are the extreme case: they arrive
-      in sequence order and cost one ``list.append`` each, with no
-      per-event sift);
-    * a **near heap** for the rare out-of-order arrival inside the
-      horizon (urgent same-instant wakeups, a timer armed behind the run
-      tail);
-    * a **far heap** for timers beyond the horizon (watchdog periods,
-      rejuvenation schedules).  Far entries migrate into the run in bulk
-      — one filter + sort — when the near tier drains, so cancelled far
-      timers are dropped wholesale without ever touching a heap.
-
-    Cancellation is lazy everywhere: :meth:`note_cancel` only counts, and
-    dead entries are skipped on pop or removed in bulk by
-    :meth:`compact` when they dominate their tier.
-
-Determinism contract
---------------------
-Backends order entries strictly by ``(time, priority, sequence)`` with the
-sequence number assigned in :meth:`SchedulerBackend.schedule` call order.
-Because every backend assigns sequences identically and pops the global
-minimum, a simulation produces the same execution order — and therefore
-bit-identical results — on any backend; only wall-clock time may differ.
-``tests/simkernel/test_backends.py`` fuzzes this equivalence and the
-golden experiment rows pin it end to end.
+Ordering contract
+-----------------
+Entries are ordered strictly by ``(time, priority, sequence)`` with the
+sequence number assigned in :meth:`ReferenceBackend.schedule` call order,
+so same-instant entries at equal priority run in insertion order and a
+simulation with fixed seeds is exactly repeatable.  The kernel's fast run
+loop and its sanitizer loop pop this one store;
+``tests/simkernel/test_backends.py`` fuzzes that both execute the same
+schedule and the golden experiment rows pin it end to end.
 
 Entries are ``(time, priority, sequence, item)`` tuples, where ``item``
 is an :class:`~repro.simkernel.events.Event` (or subclass) or a
@@ -51,10 +25,8 @@ keys unique, so tuple comparison never reaches the item.
 from __future__ import annotations
 
 import heapq
-import os
 import typing
 
-from repro.errors import SimulationError
 from repro.simkernel.events import PRIORITY_NORMAL
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,74 +38,27 @@ _INF = float("inf")
 #: *and* once they outnumber live entries — small queues never pay.
 COMPACT_MIN = 64
 
+#: The store's name, as run labels record it (fleet shard plans, the
+#: benchmark's environment line).
+DEFAULT_BACKEND = "reference"
+
 
 def _is_dead(item: typing.Any) -> bool:
     """True for a lazily-deleted (cancelled timer) entry payload."""
     return getattr(item, "_cancelled", False) is True
 
 
-class SchedulerBackend:
-    """The narrow interface between the kernel and its pending-entry store.
+class ReferenceBackend:
+    """The binary-heap entry store behind every :class:`Simulator`.
 
-    Implementations must order entries by ``(time, priority, sequence)``
-    and assign the sequence themselves, monotonically, one per
-    :meth:`schedule` call — the tiebreaker every determinism guarantee in
-    this codebase rests on.
-    """
-
-    __slots__ = ()
-
-    #: Registry name (``Simulator(backend="...")`` / ``REPRO_KERNEL_BACKEND``).
-    name = "abstract"
-
-    def schedule(self, time: float, priority: int, item: typing.Any) -> None:
-        """Enqueue ``item`` at ``(time, priority)``, assigning a sequence."""
-        raise NotImplementedError
-
-    def schedule_timer(self, handle: "TimerHandle") -> None:
-        """Enqueue a timer handle at ``handle.time``, normal priority."""
-        raise NotImplementedError
-
-    def pop_next(self, deadline: float = _INF) -> tuple | None:
-        """Remove and return the earliest live entry, or ``None``.
-
-        Entries after ``deadline`` are left queued; lazily-cancelled
-        timers encountered on the way are discarded and accounted.
-        """
-        raise NotImplementedError
-
-    def peek(self) -> float:
-        """Time of the earliest live entry, or ``inf`` when empty."""
-        raise NotImplementedError
-
-    def note_cancel(self, handle: "TimerHandle") -> None:
-        """Account one lazily-cancelled handle still queued here."""
-        raise NotImplementedError
-
-    def compact(self) -> None:
-        """Physically remove every lazily-cancelled entry."""
-        raise NotImplementedError
-
-    def pending(self) -> int:
-        """Number of live (non-cancelled) queued entries."""
-        raise NotImplementedError
-
-    def storage_size(self) -> int:
-        """Entries physically retained, including lazily-cancelled ones."""
-        raise NotImplementedError
-
-
-class ReferenceBackend(SchedulerBackend):
-    """The classic single binary heap — the semantic reference.
-
-    Extracted from the pre-backend ``Simulator`` unchanged: one
-    ``heapq``-managed list, lazy deletion of cancelled timers, and a
-    whole-heap compaction once cancelled entries dominate.
+    One ``heapq``-managed list, lazy deletion of cancelled timers, and a
+    whole-heap compaction once cancelled entries dominate.  The kernel's
+    fast run loop inlines :meth:`pop_next` over ``_heap``; the list is
+    only ever mutated in place, so that local reference stays valid
+    across compactions.
     """
 
     __slots__ = ("_cancelled", "_heap", "_seq")
-
-    name = "reference"
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
@@ -141,16 +66,23 @@ class ReferenceBackend(SchedulerBackend):
         self._cancelled = 0
 
     def schedule(self, time: float, priority: int, item: typing.Any) -> None:
+        """Enqueue ``item`` at ``(time, priority)``, assigning a sequence."""
         self._seq += 1
         heapq.heappush(self._heap, (time, priority, self._seq, item))
 
     def schedule_timer(self, handle: "TimerHandle") -> None:
+        """Enqueue a timer handle at ``handle.time``, normal priority."""
         self._seq += 1
         heapq.heappush(
             self._heap, (handle.time, PRIORITY_NORMAL, self._seq, handle)
         )
 
     def pop_next(self, deadline: float = _INF) -> tuple | None:
+        """Remove and return the earliest live entry, or ``None``.
+
+        Entries after ``deadline`` are left queued; lazily-cancelled
+        timers encountered on the way are discarded and accounted.
+        """
         heap = self._heap
         while heap:
             if heap[0][0] > deadline:
@@ -163,6 +95,7 @@ class ReferenceBackend(SchedulerBackend):
         return None
 
     def peek(self) -> float:
+        """Time of the earliest live entry, or ``inf`` when empty."""
         heap = self._heap
         while heap:
             if _is_dead(heap[0][3]):
@@ -173,354 +106,22 @@ class ReferenceBackend(SchedulerBackend):
         return _INF
 
     def note_cancel(self, handle: "TimerHandle") -> None:
+        """Account one lazily-cancelled handle still queued here."""
         self._cancelled += 1
         if self._cancelled > COMPACT_MIN and self._cancelled * 2 > len(self._heap):
             self.compact()
 
     def compact(self) -> None:
-        # In-place: the kernel's run loops hold a local reference to the list.
+        """Physically remove every lazily-cancelled entry."""
+        # In-place: the kernel's run loop holds a local reference to the list.
         self._heap[:] = [e for e in self._heap if not _is_dead(e[3])]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
     def pending(self) -> int:
+        """Number of live (non-cancelled) queued entries."""
         return len(self._heap) - self._cancelled
 
     def storage_size(self) -> int:
+        """Entries physically retained, including lazily-cancelled ones."""
         return len(self._heap)
-
-
-class BatchedBackend(SchedulerBackend):
-    """Monotone-run + two-level-timer backend; see the module docstring.
-
-    Structure invariants (all keys are ``(time, priority, sequence)``):
-
-    * ``_run[_idx:]`` is sorted ascending; slots before ``_idx`` have
-      been consumed and overwritten with ``None`` (releasing the entry
-      tuple promptly — the freelists key off refcounts) until trimming
-      drops the prefix;
-    * ``_tail`` is the largest key ever appended to the run since it was
-      last rebuilt — an upper bound on ``run[-1]`` that is valid even
-      when the tail slots have been consumed and nulled;
-    * ``_heap`` is a binary heap of in-horizon entries that arrived out
-      of order (behind the run tail);
-    * ``_far`` is a binary heap of entries with ``time >= _far_horizon``;
-      the horizon only advances, so membership never needs revisiting;
-    * every entry in ``_run``/``_heap`` sorts strictly below every entry
-      in ``_far`` — the near tier fully drains before migration.
-
-    The three lists are mutated in place (never rebound) so the kernel's
-    inlined run loop can hold local references across compactions.
-    """
-
-    __slots__ = (
-        "_cancelled",
-        "_far",
-        "_far_cancelled",
-        "_far_horizon",
-        "_heap",
-        "_idx",
-        "_run",
-        "_seq",
-        "_span",
-        "_tail",
-    )
-
-    name = "batched"
-
-    #: Width of the near-time window, in simulated seconds.  Timers due
-    #: beyond ``now + span`` land in the far heap.  Purely a performance
-    #: knob: any positive value yields identical execution order.  The
-    #: default suits per-request cadences (sub-second event spacing);
-    #: fleet-scale runs whose dominant cadence is coarse aggregation
-    #: ticks may prefer a wider horizon — pass ``horizon=`` or set
-    #: ``REPRO_KERNEL_HORIZON`` (see :func:`resolve_backend` and the
-    #: horizon-sweep note in DESIGN.md).
-    DEFAULT_SPAN = 64.0
-
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        span: float | None = None,
-        horizon: float | None = None,
-    ) -> None:
-        if span is not None and horizon is not None and span != horizon:
-            raise SimulationError(
-                f"span={span} and horizon={horizon} are the same knob "
-                "spelled two ways; pass only one"
-            )
-        if span is None:
-            span = horizon if horizon is not None else self.DEFAULT_SPAN
-        if span <= 0:
-            raise SimulationError(f"horizon span must be positive, got {span}")
-        self._run: list[tuple] = []
-        self._idx = 0
-        self._tail: tuple | None = None
-        self._heap: list[tuple] = []
-        self._far: list[tuple] = []
-        self._far_horizon = start_time + span
-        self._span = span
-        self._seq = 0
-        self._cancelled = 0  # lazily-dead entries in _run/_heap
-        self._far_cancelled = 0  # lazily-dead entries in _far
-
-    # -- write side --------------------------------------------------------
-
-    def schedule(self, time: float, priority: int, item: typing.Any) -> None:
-        self._seq += 1
-        entry = (time, priority, self._seq, item)
-        if time >= self._far_horizon:
-            heapq.heappush(self._far, entry)
-            return
-        tail = self._tail
-        # Monotone tail append: comparing against the largest key ever
-        # appended (consumed or not) is stricter than the sortedness of
-        # the live suffix requires, but keeps the check O(1) and valid
-        # after consumed slots are nulled.  The sequence field makes
-        # ties impossible, so >= is exact; a "miss" here only routes the
-        # entry through the near heap — order is unaffected.
-        if tail is None or entry >= tail:
-            self._run.append(entry)
-            self._tail = entry
-        else:
-            heapq.heappush(self._heap, entry)
-
-    def schedule_timer(self, handle: "TimerHandle") -> None:
-        # schedule() with time=handle.time, priority=PRIORITY_NORMAL
-        # inlined: fluid-sharing churn arms hundreds of thousands of
-        # timers per experiment and the extra frame is measurable.
-        self._seq += 1
-        time = handle.time
-        entry = (time, PRIORITY_NORMAL, self._seq, handle)
-        if time >= self._far_horizon:
-            heapq.heappush(self._far, entry)
-            return
-        tail = self._tail
-        if tail is None or entry >= tail:
-            self._run.append(entry)
-            self._tail = entry
-        else:
-            heapq.heappush(self._heap, entry)
-
-    # -- read side ---------------------------------------------------------
-
-    def pop_next(self, deadline: float = _INF) -> tuple | None:
-        run, heap = self._run, self._heap
-        while True:
-            idx = self._idx
-            if idx < len(run):
-                entry = run[idx]
-                if heap and heap[0] < entry:
-                    if heap[0][0] > deadline:
-                        return None
-                    entry = heapq.heappop(heap)
-                elif entry[0] > deadline:
-                    return None
-                else:
-                    run[idx] = None  # release the tuple for the freelists
-                    self._idx = idx + 1
-                    if self._idx > 4096 and self._idx * 2 > len(run):
-                        self._trim_run()
-            elif heap:
-                if heap[0][0] > deadline:
-                    return None
-                entry = heapq.heappop(heap)
-            elif self._far:
-                if self._far[0][0] > deadline:
-                    return None
-                self._migrate()
-                continue
-            else:
-                return None
-            if _is_dead(entry[3]):
-                self._cancelled -= 1
-                continue
-            return entry
-
-    def peek(self) -> float:
-        while True:
-            run, heap = self._run, self._heap
-            idx = self._idx
-            while idx < len(run) and _is_dead(run[idx][3]):
-                idx += 1
-                self._cancelled -= 1
-            self._idx = idx
-            while heap and _is_dead(heap[0][3]):
-                heapq.heappop(heap)
-                self._cancelled -= 1
-            head = _INF
-            if idx < len(run):
-                head = run[idx][0]
-            if heap and heap[0][0] < head:
-                head = heap[0][0]
-            if head != _INF:
-                return head
-            if self._far:
-                self._migrate()
-                continue
-            return _INF
-
-    # -- cancellation ------------------------------------------------------
-
-    def note_cancel(self, handle: "TimerHandle") -> None:
-        # The horizon only advances, so time >= horizon <=> still in _far.
-        if handle.time >= self._far_horizon:
-            self._far_cancelled += 1
-            if (
-                self._far_cancelled > COMPACT_MIN
-                and self._far_cancelled * 2 > len(self._far)
-            ):
-                self._compact_far()
-        else:
-            self._cancelled += 1
-            # Near size computed inside the condition: the COMPACT_MIN
-            # short-circuit spares the common low-churn cancel the len
-            # arithmetic.
-            if self._cancelled > COMPACT_MIN and self._cancelled * 2 > (
-                len(self._run) - self._idx + len(self._heap)
-            ):
-                self._compact_near()
-
-    def compact(self) -> None:
-        self._compact_near()
-        self._compact_far()
-
-    # -- sizes -------------------------------------------------------------
-
-    def pending(self) -> int:
-        return (
-            (len(self._run) - self._idx)
-            + len(self._heap)
-            + len(self._far)
-            - self._cancelled
-            - self._far_cancelled
-        )
-
-    def storage_size(self) -> int:
-        return (len(self._run) - self._idx) + len(self._heap) + len(self._far)
-
-    # -- internals ---------------------------------------------------------
-
-    def _trim_run(self) -> None:
-        """Drop the consumed prefix (in place: loops hold references)."""
-        del self._run[: self._idx]
-        self._idx = 0
-
-    def _compact_near(self) -> None:
-        run = self._run
-        live = [e for e in run[self._idx :] if not _is_dead(e[3])]
-        run[:] = live
-        self._idx = 0
-        if live:
-            self._tail = live[-1]
-        self._heap[:] = [e for e in self._heap if not _is_dead(e[3])]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-    def _compact_far(self) -> None:
-        self._far[:] = [e for e in self._far if not _is_dead(e[3])]
-        heapq.heapify(self._far)
-        self._far_cancelled = 0
-
-    def _migrate(self) -> None:
-        """Advance the horizon and pull due far entries into the run.
-
-        Called only when the near tier is fully drained, so the pulled
-        batch *is* the new run after one bulk sort.  Cancelled far
-        entries are dropped here without individual heap operations.
-        """
-        far = self._far
-        base = far[0][0]
-        if base == _INF:
-            horizon = _INF
-            pulled = far[:]
-            del far[:]
-        else:
-            horizon = base + self._span
-            pulled = []
-            while far and far[0][0] < horizon:
-                pulled.append(heapq.heappop(far))
-        live = [e for e in pulled if not _is_dead(e[3])]
-        self._far_cancelled -= len(pulled) - len(live)
-        live.sort()
-        self._run[:] = live
-        self._idx = 0
-        self._tail = live[-1] if live else None
-        self._far_horizon = horizon
-
-
-#: Name -> backend class, for ``Simulator(backend=...)`` and the
-#: ``REPRO_KERNEL_BACKEND`` environment variable.
-BACKENDS: dict[str, type[SchedulerBackend]] = {
-    ReferenceBackend.name: ReferenceBackend,
-    BatchedBackend.name: BatchedBackend,
-}
-
-DEFAULT_BACKEND = ReferenceBackend.name
-
-
-def resolve_horizon(env_value: str | None = None) -> float | None:
-    """The far-horizon override from ``REPRO_KERNEL_HORIZON``, if any.
-
-    ``env_value`` defaults to the live environment variable.  Returns
-    ``None`` when unset (the backend then uses its built-in default);
-    raises :class:`SimulationError` for unparsable or non-positive
-    values rather than silently running on a garbage horizon.
-    """
-    if env_value is None:
-        env_value = os.environ.get("REPRO_KERNEL_HORIZON")
-    if not env_value:
-        return None
-    try:
-        horizon = float(env_value)
-    except ValueError:
-        raise SimulationError(
-            f"REPRO_KERNEL_HORIZON={env_value!r} is not a number"
-        ) from None
-    if horizon <= 0:
-        raise SimulationError(
-            f"REPRO_KERNEL_HORIZON={env_value} must be positive"
-        )
-    return horizon
-
-
-def resolve_backend(
-    spec: "str | SchedulerBackend | type[SchedulerBackend] | None",
-    start_time: float = 0.0,
-    env: str | None = None,
-) -> SchedulerBackend:
-    """Turn a backend spec into a fresh backend instance.
-
-    ``spec`` may be a registry name, a backend class, an already-built
-    instance (which must be fresh — backends are stateful and owned by
-    exactly one simulator), or ``None`` to consult ``env`` (the
-    ``REPRO_KERNEL_BACKEND`` value) and fall back to the reference.
-
-    When a :class:`BatchedBackend` is constructed here (by name or
-    class), its far horizon honours ``REPRO_KERNEL_HORIZON``; an
-    explicitly pre-built instance keeps whatever horizon it was built
-    with.
-    """
-    if spec is None:
-        spec = env if env else DEFAULT_BACKEND
-    if isinstance(spec, str):
-        try:
-            cls = BACKENDS[spec]
-        except KeyError:
-            known = ", ".join(sorted(BACKENDS))
-            raise SimulationError(
-                f"unknown scheduler backend {spec!r} (known: {known})"
-            ) from None
-        if cls is BatchedBackend:
-            return BatchedBackend(start_time=start_time, horizon=resolve_horizon())
-        return cls()
-    if isinstance(spec, type) and issubclass(spec, SchedulerBackend):
-        if spec is BatchedBackend:
-            return BatchedBackend(start_time=start_time, horizon=resolve_horizon())
-        return spec()
-    if isinstance(spec, SchedulerBackend):
-        return spec
-    raise SimulationError(
-        f"backend must be a name, SchedulerBackend class or instance, "
-        f"got {spec!r}"
-    )

@@ -2,11 +2,10 @@
 
 :class:`Simulator` owns the virtual clock and the dispatch semantics, and
 is the factory for all kernel primitives (events, timeouts, processes).
-Where pending entries live — heap layout, timer tiers, lazy deletion — is
-delegated to a pluggable :class:`~repro.simkernel.backends.SchedulerBackend`
-(``Simulator(backend="batched")`` or ``REPRO_KERNEL_BACKEND=batched``);
-the API deliberately mirrors well-known DES libraries so the higher
-layers read naturally::
+Where pending entries live — the heap, lazy deletion, compaction — is
+hidden behind :class:`~repro.simkernel.backends.ReferenceBackend`; the
+API deliberately mirrors well-known DES libraries so the higher layers
+read naturally::
 
     sim = Simulator()
 
@@ -21,32 +20,26 @@ layers read naturally::
 Determinism: at equal timestamps events are processed in (priority,
 insertion) order, so a simulation with fixed seeds is exactly repeatable —
 a property the test suite and the paper-reproduction experiments rely on.
-Backend choice never changes results, only wall-clock time: every backend
-pops the global ``(time, priority, sequence)`` minimum (see
-:mod:`repro.simkernel.backends` for the contract and the fuzzed proof).
+:meth:`Simulator.run` has two loops over the one store — a fast loop and
+the sanitizer loop — and both pop the global ``(time, priority,
+sequence)`` minimum (see :mod:`repro.simkernel.backends` for the contract
+and the fuzzed proof).
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-import sys
 import typing
 
 from repro.errors import SimulationError
-from repro.simkernel.backends import (
-    BatchedBackend,
-    ReferenceBackend,
-    resolve_backend,
-)
+from repro.simkernel.backends import ReferenceBackend
 from repro.simkernel.events import (
     AllOf,
     AnyOf,
     Event,
-    PRIORITY_NORMAL,
     PRIORITY_URGENT,
     PROCESSED,
-    TRIGGERED,
     Timeout,
 )
 from repro.simkernel.process import Process, ProcessGenerator
@@ -60,28 +53,16 @@ experiment runners.  Construction-time only — observers never see run
 events and cannot perturb anything.
 """
 
-_getrefcount = sys.getrefcount
-
-#: Freelists never hold more than this many recycled objects per kind.
-_POOL_CAP = 1024
-
-#: ``sys.getrefcount(item)`` for an entry payload referenced only by its
-#: entry tuple, the dispatch local, and the getrefcount argument — i.e.
-#: an object nobody outside the event loop can observe.  Recycling is
-#: gated on exactly this count, so a handle or timeout the user (or a
-#: waiting process frame) still references is never reused.
-_UNREFERENCED = 3
-
 
 class TimerHandle:
     """A cancellable scheduled callback (see :meth:`Simulator.call_at`).
 
-    Timer handles sit directly in the scheduler backend — no Event or
+    Timer handles sit directly in the scheduler heap — no Event or
     closure is allocated per timer, which matters because fluid-sharing
     pools reschedule (cancel + re-arm) a timer on every membership
     change.  A cancelled handle is dropped by the event loop without any
-    callback bookkeeping when its deadline is reached, and the backend
-    compacts its structures if cancelled handles ever dominate them.
+    callback bookkeeping when its deadline is reached, and the heap is
+    compacted if cancelled handles ever dominate it.
     """
 
     # _san_origin is set only by the determinism sanitizer and stays unset
@@ -106,7 +87,7 @@ class TimerHandle:
             return
         self._cancelled = True
         self.callback = None  # release closure references promptly
-        # Only a handle still sitting in the backend needs accounting; a
+        # Only a handle still sitting in the heap needs accounting; a
         # cancel after the loop already popped it (fired, or discarded by
         # an earlier cancel pass) must not inflate the lazy-delete
         # counters — phantom counts trigger pointless whole-structure
@@ -143,13 +124,6 @@ class Simulator:
         accumulate and keep sample series).  ``False`` keeps it in
         no-op mode.  ``None`` (the default) consults ``REPRO_METRICS``.
         Enabled or not, metrics never perturb the simulation.
-    backend:
-        Scheduler backend: a registry name (``"reference"`` or
-        ``"batched"``), a :class:`~repro.simkernel.backends
-        .SchedulerBackend` class, or a fresh instance.  ``None`` (the
-        default) consults ``REPRO_KERNEL_BACKEND`` and falls back to the
-        reference heap.  Backend choice never changes simulated results,
-        only wall-clock speed.
     """
 
     def __init__(
@@ -158,22 +132,15 @@ class Simulator:
         trace: typing.Any = None,
         sanitize: bool | None = None,
         metrics: bool | None = None,
-        backend: typing.Any = None,
     ) -> None:
         from repro.simkernel.metrics import MetricsRegistry
         from repro.simkernel.spans import SpanTracker
         from repro.simkernel.tracing import Tracer  # local import: cycle guard
 
         self._now = float(start_time)
-        self._backend = resolve_backend(
-            backend,
-            start_time=self._now,
-            env=os.environ.get("REPRO_KERNEL_BACKEND"),
-        )
+        self._backend = ReferenceBackend()
         self._schedule = self._backend.schedule
         self._active_process: Process | None = None
-        self._timeout_pool: list[Timeout] = []
-        self._timer_pool: list[TimerHandle] = []
         # Columnar: record() appends to typed column buffers and allocates
         # no per-record object unless a live subscription matches, so
         # always-on tracing stays off the event hot path's flamegraph.
@@ -211,8 +178,8 @@ class Simulator:
         return self._active_process
 
     @property
-    def backend(self) -> typing.Any:
-        """The :class:`~repro.simkernel.backends.SchedulerBackend` in use."""
+    def backend(self) -> ReferenceBackend:
+        """The pending-entry store (``pending()``, ``storage_size()``, ...)."""
         return self._backend
 
     # -- primitive factories -------------------------------------------------
@@ -225,21 +192,6 @@ class Simulator:
         self, delay: float, value: typing.Any = None, name: str | None = None
     ) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
-        pool = self._timeout_pool
-        if pool and delay >= 0:
-            # Reset a recycled instance in place; the stores mirror
-            # Timeout.__init__ exactly (a timeout is born triggered).
-            # Negative (and NaN) delays fall through to the constructor,
-            # which owns the error path.
-            timeout = pool.pop()
-            timeout.name = name
-            timeout.delay = delay
-            timeout._value = value
-            timeout._ok = True
-            timeout._state = TRIGGERED
-            timeout._defused = False
-            self._schedule(self._now + delay, PRIORITY_NORMAL, timeout)
-            return timeout
         return Timeout(self, delay, value=value, name=name)
 
     def spawn(
@@ -266,15 +218,7 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError(f"call_at({time}) is in the past (now={self._now})")
-        pool = self._timer_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.callback = callback
-            handle._cancelled = False
-            handle._popped = False
-        else:
-            handle = TimerHandle(time, callback, self)
+        handle = TimerHandle(time, callback, self)
         if self.sanitizer is not None:
             self.sanitizer.note_timer(handle)
         self._backend.schedule_timer(handle)
@@ -299,8 +243,7 @@ class Simulator:
         sequence number, so same-instant ordering is exactly what the
         two separate calls would produce.  One entry point lets the
         cancel/re-arm churn of fluid-sharing pools flow through the
-        backend's lazy-delete accounting and the handle freelist in a
-        single call.
+        heap's lazy-delete accounting in a single call.
         """
         if handle is not None:
             handle.cancel()
@@ -312,16 +255,9 @@ class Simulator:
         Used by :class:`~repro.simkernel.process.Process` start-up; cheaper
         than a full Event because nothing ever waits on it.
         """
-        pool = self._timer_pool
-        if pool:
-            handle = pool.pop()
-            handle.time = self._now
-            handle.callback = callback
-            handle._cancelled = False
-            handle._popped = False
-        else:
-            handle = TimerHandle(self._now, callback, self)
-        self._schedule(self._now, PRIORITY_URGENT, handle)
+        self._schedule(
+            self._now, PRIORITY_URGENT, TimerHandle(self._now, callback, self)
+        )
 
     # -- scheduling internals -------------------------------------------------
 
@@ -335,13 +271,6 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         self._schedule(time, priority, event)
-
-    def _recycle_timer(self, handle: TimerHandle) -> None:
-        """Return a dead, externally-unreferenced handle to the freelist."""
-        pool = self._timer_pool
-        if len(pool) < _POOL_CAP:
-            handle.callback = None
-            pool.append(handle)
 
     # -- event loop ------------------------------------------------------------
 
@@ -380,19 +309,12 @@ class Simulator:
         * an :class:`Event` — run until that event has been processed, and
           return its value (re-raising its exception on failure).
         """
-        # Dispatch is specialized per backend: the two fast paths below
-        # inline the backend's pop logic — one dynamic dispatch per event
-        # is measurable at millions of events per experiment.  Sanitized
-        # runs (any backend) share the generic loop so the fast paths
-        # carry no per-event hook branch.
-        backend = self._backend
-        if self.sanitizer is not None or type(backend) not in (
-            ReferenceBackend,
-            BatchedBackend,
-        ):
-            return self._run_generic(until)
-        if type(backend) is BatchedBackend:
-            return self._run_batched(until)
+        # The fast loop inlines the heap pop — one dynamic dispatch per
+        # event is measurable at millions of events per experiment.
+        # Sanitized runs take the sanitizer loop so the fast loop carries
+        # no per-event hook branch.
+        if self.sanitizer is not None:
+            return self._run_sanitized(until)
         return self._run_reference(until)
 
     def _run_reference(self, until: float | Event | None) -> typing.Any:
@@ -457,162 +379,14 @@ class Simulator:
         self._now = deadline
         return None
 
-    def _run_batched(self, until: float | Event | None) -> typing.Any:
-        """The :meth:`run` semantics inlined over the batched backend.
+    def _run_sanitized(self, until: float | Event | None) -> typing.Any:
+        """The :meth:`run` semantics through :meth:`ReferenceBackend.pop_next`.
 
-        The batched structures (monotone run list, near/far heaps) are
-        mutated in place by the backend, never rebound, so the local
-        references below stay valid across compactions and migrations.
-        Beyond the cheaper pop/schedule, this loop recycles dead
-        timeouts and fired timer handles into per-simulator freelists —
-        an object is reused only when ``sys.getrefcount`` proves the
-        event loop holds the sole references, so anything a process or
-        caller still observes is left alone.
+        Used for sanitized runs; the observable simulation — pop order,
+        clock advances, callback execution — is identical to the fast
+        loop.  Sanitizer hooks fire just before each entry executes.
         """
-        backend = self._backend
-        run = backend._run
-        heap = backend._heap
-        far = backend._far
-        heappop = heapq.heappop
-        timeout_pool = self._timeout_pool
-        until_event: Event | None = None
-        deadline = float("inf")
-        if isinstance(until, Event):
-            until_event = until
-        elif until is not None:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(f"run(until={deadline}) is in the past")
-
-        if until is None:
-            # Run-to-exhaustion — the overwhelmingly common mode — gets a
-            # loop with no stop-event or deadline test per event.
-            while True:
-                idx = backend._idx
-                if idx < len(run):
-                    entry = run[idx]
-                    if heap and heap[0] < entry:
-                        entry = heappop(heap)
-                    else:
-                        run[idx] = None  # free the tuple for the freelists
-                        idx += 1
-                        backend._idx = idx
-                        if idx > 4096 and idx * 2 > len(run):
-                            backend._trim_run()
-                elif heap:
-                    entry = heappop(heap)
-                elif far:
-                    backend._migrate()
-                    continue
-                else:
-                    break
-
-                item = entry[3]
-                if type(item) is TimerHandle:
-                    if item._cancelled:
-                        backend._cancelled -= 1
-                        if _getrefcount(item) == _UNREFERENCED:
-                            self._recycle_timer(item)
-                        continue
-                    item._popped = True
-                    self._now = entry[0]
-                    item.callback()
-                    if (
-                        not item._cancelled
-                        and _getrefcount(item) == _UNREFERENCED
-                    ):
-                        self._recycle_timer(item)
-                else:
-                    self._now = entry[0]
-                    item._process()
-                    if (
-                        type(item) is Timeout
-                        and not item.callbacks
-                        and _getrefcount(item) == _UNREFERENCED
-                        and len(timeout_pool) < _POOL_CAP
-                    ):
-                        timeout_pool.append(item)
-            return None
-
-        while True:
-            if until_event is not None and until_event._state == PROCESSED:
-                break
-            idx = backend._idx
-            if idx < len(run):
-                entry = run[idx]
-                if heap and heap[0] < entry:
-                    if heap[0][0] > deadline:
-                        break
-                    entry = heappop(heap)
-                elif entry[0] > deadline:
-                    break
-                else:
-                    run[idx] = None  # free the tuple for the freelists
-                    backend._idx = idx + 1
-                    if backend._idx > 4096 and backend._idx * 2 > len(run):
-                        backend._trim_run()
-            elif heap:
-                if heap[0][0] > deadline:
-                    break
-                entry = heappop(heap)
-            elif far:
-                if far[0][0] > deadline:
-                    break
-                backend._migrate()
-                continue
-            else:
-                break
-
-            item = entry[3]
-            if type(item) is TimerHandle:
-                if item._cancelled:
-                    backend._cancelled -= 1
-                    if _getrefcount(item) == _UNREFERENCED:
-                        self._recycle_timer(item)
-                    continue
-                item._popped = True
-                self._now = entry[0]
-                item.callback()
-                if (
-                    not item._cancelled
-                    and _getrefcount(item) == _UNREFERENCED
-                ):
-                    self._recycle_timer(item)
-            else:
-                self._now = entry[0]
-                item._process()
-                if (
-                    type(item) is Timeout
-                    and not item.callbacks
-                    and _getrefcount(item) == _UNREFERENCED
-                    and len(timeout_pool) < _POOL_CAP
-                ):
-                    timeout_pool.append(item)
-
-        if until_event is not None:
-            if until_event._state != PROCESSED:
-                raise SimulationError(
-                    f"event queue exhausted before {until_event!r} fired"
-                )
-            if not until_event._ok:
-                until_event.defuse()
-                raise until_event.value
-            return until_event._value
-        if until is not None:
-            self._now = deadline
-        return None
-
-    def _run_generic(self, until: float | Event | None) -> typing.Any:
-        """The :meth:`run` semantics over the abstract backend interface.
-
-        Used for sanitized runs (any backend) and for third-party
-        backends; the observable simulation — pop order, clock advances,
-        callback execution — is identical to the fast paths.  Sanitizer
-        hooks fire just before each entry executes, exactly as the old
-        inlined sanitized loops did.
-        """
-        backend = self._backend
-        pop_next = backend.pop_next
+        pop_next = self._backend.pop_next
         san = self.sanitizer
 
         until_event: Event | None = None
@@ -632,8 +406,7 @@ class Simulator:
                 if entry is None:
                     break
                 time, priority, _, item = entry
-                if san is not None:
-                    san.on_execute(time, priority, item)
+                san.on_execute(time, priority, item)
                 self._now = time
                 if type(item) is TimerHandle:
                     item._popped = True
@@ -650,18 +423,16 @@ class Simulator:
                     until_event.defuse()
                     raise until_event.value
                 return until_event._value
-            if san is not None and until is None:
+            if until is None:
                 san.on_queue_exhausted()
-            if until is not None:
+            else:
                 self._now = deadline
             return None
         finally:
-            if san is not None:
-                san.on_run_exit()
+            san.on_run_exit()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Simulator t={self._now:.6g} "
-            f"pending={self._backend.pending()} "
-            f"backend={self._backend.name}>"
+            f"pending={self._backend.pending()}>"
         )

@@ -309,9 +309,8 @@ class SharedPool:
         clock can make progress.
         """
         # The pending timer is handed to rearm_timer() below so cancel +
-        # re-arm flow through the backend's lazy-delete accounting (and
-        # handle freelist) in one call; if no job remains it is cancelled
-        # on the way out.  Deferring the cancel is order-neutral: cancels
+        # re-arm flow through the heap's lazy-delete accounting in one
+        # call; if no job remains it is cancelled on the way out.  Deferring the cancel is order-neutral: cancels
         # take no scheduling sequence number.
         old_timer, self._timer = self._timer, None
         jobs = self._jobs

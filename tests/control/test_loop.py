@@ -3,8 +3,8 @@
 The loop half runs against stub hosts and a scripted strategy so the
 grid/audit mechanics are visible without a full scenario; the final test
 closes the loop for real — ``run_scenario`` with a ``[policy]`` table —
-and demands an identical decision audit from the batched backend and
-the determinism sanitizer.
+and demands an identical decision audit with and without the
+determinism sanitizer.
 """
 
 import pytest
@@ -229,11 +229,11 @@ def _mini_spec() -> ScenarioSpec:
     )
 
 
-def test_closed_loop_is_deterministic_across_backends(monkeypatch):
+def test_closed_loop_is_deterministic_under_sanitizer(monkeypatch):
     """The acceptance pin: identical decisions — cycle count, audit
-    times, targets, outcomes — from the reference heap, the batched
-    backend, and the batched backend under the determinism sanitizer."""
-    for key in ("REPRO_KERNEL_BACKEND", "REPRO_SANITIZE", "REPRO_METRICS"):
+    times, targets, outcomes — from the plain run and from a run under
+    the determinism sanitizer, which takes the kernel's other loop."""
+    for key in ("REPRO_SANITIZE", "REPRO_METRICS"):
         monkeypatch.delenv(key, raising=False)
     baseline = run_scenario(_mini_spec()).policy
     assert baseline["migrations"] == 1
@@ -246,7 +246,5 @@ def test_closed_loop_is_deterministic_across_backends(monkeypatch):
     ]
     assert rebooted == ["idle"]
 
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-    assert run_scenario(_mini_spec()).policy == baseline
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert run_scenario(_mini_spec()).policy == baseline

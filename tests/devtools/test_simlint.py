@@ -321,8 +321,8 @@ class TestPrivacyRuleAliases:
     def test_simkernel_modules_are_exempt(self):
         assert not _lint_snippet(
             """
-            def _run_batched(self):
-                return self._backend._run
+            def _run_reference(self):
+                return self._backend._heap
             """,
             path="src/repro/simkernel/kernel.py",
         )

@@ -64,23 +64,13 @@ def test_instrumented_rows_match_golden(experiment_id, monkeypatch):
     assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
 
 
-# Scheduler-backend equivalence: the batched backend may change wall-clock
-# speed, never results.  Quick experiments run here under the batched
-# backend plain, sanitized, and with metrics on; `make test-backend` runs
-# the *whole* tier-1 suite (including every serial golden match above)
-# under REPRO_KERNEL_BACKEND=batched for full coverage.
-@pytest.mark.parametrize("experiment_id", ["FIG2", "FIG4", "FIG6", "SEC53"])
-def test_batched_backend_rows_match_golden(experiment_id, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-    assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
-
-
+# Observers never perturb: under the determinism sanitizer (which also
+# switches the run onto the sanitizer loop) or with metrics on, rows stay
+# bit-identical.  `make test-sanitize` runs the *whole* tier-1 suite
+# sanitized; these keep an observer-vs-golden pin in plain tier-1.
 @pytest.mark.parametrize("experiment_id", ["FIG2", "SEC53"])
 @pytest.mark.parametrize("observer", ["REPRO_SANITIZE", "REPRO_METRICS"])
-def test_batched_backend_observed_rows_match_golden(
-    experiment_id, observer, monkeypatch
-):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
+def test_observed_rows_match_golden(experiment_id, observer, monkeypatch):
     monkeypatch.setenv(observer, "1")
     assert _rows(run_experiment(experiment_id)) == GOLDEN[experiment_id]
 

@@ -103,7 +103,7 @@ class TestSpec:
         assert hosts == ["host0", "host1", "host2", "host3"]
         for plan in plans:
             assert plan["spec_data"]["force_cluster"] is True
-            assert plan["backend"] == "batched"
+            assert plan["backend"] == "reference"
 
     def test_more_shards_than_hosts_clamps(self):
         assert len(_fleet(shards=64).shard_plans()) == 4

@@ -1,68 +1,26 @@
-"""Scheduler-backend equivalence and accounting tests.
+"""Event-store accounting and run-loop equivalence tests.
 
-The backend contract (see :mod:`repro.simkernel.backends`): backend choice
-may change wall-clock speed, never simulated results.  The differential
-fuzz here replays seeded random schedules — timers, cancels, urgent
-priorities, same-instant bursts, nested spawns, far-horizon timers — on
-the reference and batched backends and asserts identical execution order,
-final clock, and process values.
+The kernel keeps one pending-entry store (see
+:mod:`repro.simkernel.backends`) and two loops over it: the fast loop
+and the sanitizer loop.  The differential fuzz here replays seeded random
+schedules — timers, cancels, urgent priorities, same-instant bursts,
+nested spawns, far-future timers — through both loops and asserts
+identical execution order, final clock, and process values.
 """
 
 import random
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.simkernel import (
-    BACKENDS,
-    BatchedBackend,
-    ReferenceBackend,
-    SchedulerBackend,
-    Simulator,
-)
-from repro.simkernel.backends import resolve_horizon
-
-
-class TestSelection:
-    def test_default_is_reference(self, monkeypatch):
-        # Neutralize the env so this passes in the `make test-backend`
-        # lane, which exports REPRO_KERNEL_BACKEND=batched suite-wide.
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert Simulator().backend.name == "reference"
-
-    def test_name_selects_backend(self):
-        assert Simulator(backend="batched").backend.name == "batched"
-        assert Simulator(backend="reference").backend.name == "reference"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-        assert Simulator().backend.name == "batched"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-        assert Simulator(backend="reference").backend.name == "reference"
-
-    def test_class_and_instance_specs(self):
-        assert Simulator(backend=BatchedBackend).backend.name == "batched"
-        inst = BatchedBackend(start_time=5.0, span=2.0)
-        assert Simulator(start_time=5.0, backend=inst).backend is inst
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(SimulationError, match="unknown scheduler backend"):
-            Simulator(backend="warp-drive")
-
-    def test_registry_contents(self):
-        assert set(BACKENDS) == {"reference", "batched"}
-        for cls in BACKENDS.values():
-            assert issubclass(cls, SchedulerBackend)
+from repro.simkernel import Simulator
 
 
 class TestCancelledAccounting:
     """Regression: lazy-delete counters must track reality exactly."""
 
-    @pytest.fixture(params=["reference", "batched"])
-    def sim(self, request):
-        return Simulator(backend=request.param)
+    @pytest.fixture
+    def sim(self):
+        return Simulator()
 
     def test_cancel_after_fire_does_not_inflate_counter(self, sim):
         handles = [sim.call_in(0.1 * (i + 1), lambda: None) for i in range(10)]
@@ -126,12 +84,12 @@ class TestCancelledAccounting:
 def _fuzz_workload(sim, seed, log):
     """Drive one seeded random schedule; append markers to ``log``.
 
-    Pure simulation — all randomness comes from ``seed``, so two runs on
-    different backends see byte-identical schedules.  Mixes every
+    Pure simulation — all randomness comes from ``seed``, so two runs
+    through different loops see byte-identical schedules.  Mixes every
     scheduling shape the kernel supports: zero-delay (same-instant
-    bursts), sub-horizon and far-horizon timers, cancels (before and
-    after firing), urgent interrupts, nested spawns, and events
-    triggered from timer callbacks.
+    bursts), near and far-future timers, cancels (before and after
+    firing), urgent interrupts, nested spawns, and events triggered from
+    timer callbacks.
     """
     rng = random.Random(seed)
     handles = []
@@ -181,8 +139,8 @@ def _fuzz_workload(sim, seed, log):
     return roots
 
 
-def _run_fuzz(seed, backend):
-    sim = Simulator(backend=backend)
+def _run_fuzz(seed, sanitize=False):
+    sim = Simulator(sanitize=sanitize)
     log = []
     roots = _fuzz_workload(sim, seed, log)
     sim.run()
@@ -192,130 +150,26 @@ def _run_fuzz(seed, backend):
 
 
 class TestDifferentialFuzz:
-    """Identical execution on both backends for seeded random schedules."""
+    """Identical execution through both run loops for seeded schedules."""
 
+    # The fuzz arms same-instant timers from independent processes on
+    # purpose; the sanitizer rightly flags those ties, which are not what
+    # this test is about.
+    @pytest.mark.filterwarnings("ignore::repro.simkernel.DeterminismWarning")
     @pytest.mark.parametrize("seed", range(25))
-    def test_batched_matches_reference(self, seed):
-        assert _run_fuzz(seed, "reference") == _run_fuzz(seed, "batched")
+    def test_sanitizer_loop_matches_fast_loop(self, seed):
+        assert _run_fuzz(seed, sanitize=True) == _run_fuzz(seed)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_tiny_horizon_span_matches_reference(self, seed):
-        """A pathological 0.5s span forces constant far-tier migration."""
-        reference = _run_fuzz(seed, "reference")
-        batched = _run_fuzz(seed, BatchedBackend(span=0.5))
-        assert reference == batched
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_generic_loop_matches_fast_paths(self, seed):
-        """The sanitized/generic run loop executes the same schedule."""
-        reference = _run_fuzz(seed, "reference")
-        for backend in ("reference", "batched"):
-            sim = Simulator(backend=backend, sanitize=True)
-            log = []
-            roots = _fuzz_workload(sim, seed, log)
-            sim.run()
-            log.append(("final", sim.now, [p.value for p in roots]))
-            assert log == reference
-
-    @pytest.mark.parametrize("backend", ["reference", "batched"])
-    def test_run_until_deadline_matches(self, backend):
+    @pytest.mark.parametrize("sanitize", [False, True], ids=["fast", "sanitized"])
+    def test_run_until_deadline_matches(self, sanitize):
+        """Stopping at a deadline and resuming reproduces the
+        uninterrupted fast-loop run, marker for marker."""
         log = []
-        sim = Simulator(backend=backend)
+        sim = Simulator(sanitize=sanitize)
         _fuzz_workload(sim, 42, log)
         sim.run(until=3.0)
         assert sim.now == 3.0
         cut = list(log)
+        assert cut and all(t <= 3.0 for t, *_ in cut)
         sim.run()
-        assert all(t <= 3.0 for t, *_ in cut if isinstance(t, float))
-        if backend == "batched":
-            assert log == _run_fuzz(42, "reference")[:-1]
-
-
-class TestBatchedInternals:
-    """White-box checks for the batched backend's tier machinery."""
-
-    def test_far_timers_land_in_far_heap(self):
-        sim = Simulator(backend="batched")
-        sim.timeout(1.0)
-        sim.timeout(500.0)
-        backend = sim.backend
-        assert len(backend._far) == 1
-        assert len(backend._run) == 1
-        sim.run()
-        assert sim.now == 500.0
-
-    def test_monotone_appends_avoid_heap(self):
-        sim = Simulator(backend="batched")
-        for i in range(10):
-            sim.timeout(float(i) / 100.0)
-        backend = sim.backend
-        assert len(backend._run) == 10
-        assert backend._heap == []
-
-    def test_out_of_order_arrival_uses_near_heap(self):
-        sim = Simulator(backend="batched")
-        sim.timeout(10.0)
-        sim.timeout(1.0)  # behind the run tail
-        backend = sim.backend
-        assert len(backend._heap) == 1
-        order = []
-        sim.call_at(1.0, lambda: order.append(1)).cancel()
-        sim.run()
-        assert sim.now == 10.0
-
-    def test_infinite_timer_deadline_migrates(self):
-        sim = Simulator(backend="batched")
-        fired = []
-        sim.call_at(float("inf"), lambda: fired.append(True))
-        sim.run()
-        assert fired == [True]
-        assert sim.now == float("inf")
-
-    def test_invalid_span_rejected(self):
-        with pytest.raises(SimulationError, match="span"):
-            BatchedBackend(span=0.0)
-
-
-class TestHorizonKnob:
-    """``horizon=`` / REPRO_KERNEL_HORIZON: the public spelling of span."""
-
-    def test_horizon_sets_the_span(self):
-        assert BatchedBackend(horizon=2.5)._span == 2.5
-
-    def test_span_and_horizon_conflict(self):
-        with pytest.raises(SimulationError, match="same knob"):
-            BatchedBackend(span=1.0, horizon=2.0)
-
-    def test_invalid_horizon_rejected(self):
-        with pytest.raises(SimulationError, match="span"):
-            BatchedBackend(horizon=-1.0)
-
-    def test_resolve_horizon_parses_numbers(self, monkeypatch):
-        assert resolve_horizon("3.25") == 3.25
-        monkeypatch.delenv("REPRO_KERNEL_HORIZON", raising=False)
-        assert resolve_horizon() is None
-        monkeypatch.setenv("REPRO_KERNEL_HORIZON", "12.5")
-        assert resolve_horizon() == 12.5
-        assert resolve_horizon("") is None  # empty means unset
-
-    @pytest.mark.parametrize("value", ["banana", "0", "-4.0"])
-    def test_resolve_horizon_rejects_garbage(self, value):
-        with pytest.raises(SimulationError, match="REPRO_KERNEL_HORIZON"):
-            resolve_horizon(value)
-
-    def test_env_horizon_applies_to_named_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_HORIZON", "7.5")
-        assert Simulator(backend="batched").backend._span == 7.5
-        assert Simulator(backend=BatchedBackend).backend._span == 7.5
-
-    def test_env_horizon_never_touches_instances(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_HORIZON", "7.5")
-        inst = BatchedBackend(span=2.0)
-        assert Simulator(backend=inst).backend._span == 2.0
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_horizon_choice_matches_reference(self, seed):
-        """Like span: the horizon changes speed, never results."""
-        reference = _run_fuzz(seed, "reference")
-        assert reference == _run_fuzz(seed, BatchedBackend(horizon=0.5))
-        assert reference == _run_fuzz(seed, BatchedBackend(horizon=1000.0))
+        assert log == _run_fuzz(42)[:-1]

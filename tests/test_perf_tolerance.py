@@ -48,53 +48,37 @@ class TestCheckTolerance:
         assert check(fresh, self.BASELINE, tolerance=1.01) == 0
 
 
-class TestBackendMatrixGate:
-    """Schema-3 kernel section: per-backend cells + same-run speedup gate."""
+class TestKernelCellGate:
+    """Schema-6 kernel section: one cell per throughput, baseline-relative."""
 
     BASELINE = {
         "kernel": {
-            "backends": {
-                "reference": {"events_per_sec": 1000.0},
-                "batched": {"events_per_sec": 1700.0},
-            },
-            "batched_speedup": 1.7,
+            "events_per_sec": 1000.0,
+            "timer_churn_ops_per_sec": 500.0,
+            "telemetry": {"overhead_ratio": 1.2},
         },
         "experiments_s": {},
     }
 
     @staticmethod
-    def _fresh(ref, bat):
+    def _fresh(events, churn):
         return {
             "kernel": {
-                "backends": {
-                    "reference": {"events_per_sec": ref},
-                    "batched": {"events_per_sec": bat},
-                },
-                "batched_speedup": round(bat / ref, 2),
+                "events_per_sec": events,
+                "timer_churn_ops_per_sec": churn,
+                "telemetry": {"overhead_ratio": 1.2},
             },
             "experiments_s": {},
         }
 
-    def test_healthy_matrix_passes(self, capsys):
-        assert check(self._fresh(900.0, 1800.0), self.BASELINE) == 0
+    def test_healthy_cells_pass(self, capsys):
+        assert check(self._fresh(900.0, 450.0), self.BASELINE) == 0
 
-    def test_per_backend_cell_regression_fails(self, capsys):
-        # Batched collapses to reference speed: its cell regresses beyond
-        # tolerance AND the same-run speedup gate trips — two failures.
-        assert check(self._fresh(1000.0, 1000.0), self.BASELINE) == 2
-
-    def test_speedup_gate_is_tolerance_free(self, capsys):
-        # Cells are within the (widened) tolerance, but batched only
-        # manages 1.4x reference in the same run: the relative gate
-        # fails regardless of how forgiving the hardware tolerance is.
-        fresh = self._fresh(1000.0, 1400.0)
-        assert check(fresh, self.BASELINE, tolerance=10.0) == 1
-
-    def test_speedup_is_not_compared_against_baseline(self, capsys):
-        # 1.6x is below the baseline's recorded 1.7x but above the
-        # required minimum: the speedup is a same-run gate, not a
-        # baseline-relative one.
-        assert check(self._fresh(1000.0, 1600.0), self.BASELINE) == 0
+    def test_regressed_cell_fails_beyond_tolerance(self, capsys):
+        # events/sec lost 40%, beyond the default 30% slack; the churn
+        # cell is healthy, so exactly one failure.
+        assert check(self._fresh(600.0, 500.0), self.BASELINE) == 1
+        assert "[FAIL] kernel events_per_sec" in capsys.readouterr().out
 
 
 class TestTelemetryOverheadGate:
