@@ -66,18 +66,18 @@ scenarios:
 	$(PYTHON) -m repro.scenario build $(filter-out examples/fleet_%,$(wildcard examples/*.toml)) $$($(PYTHON) -m repro.scenario list | awk '{print $$1}')
 	$(PYTHON) -m repro.fleet validate examples/fleet_*.toml
 
-# End-to-end observability self-check, two layers.  Single-run: drive an
-# instrumented rejuvenation run, then cross-verify the span tree against
-# the measured downtime report, the Perfetto export against strict JSON,
-# and the Prometheus text format against its parser.  Fleet-mode: run a
-# two-shard fleet twice (serial vs sharded), assert the merged telemetry
-# bundles are bit-identical, evaluate the attached SLO, and reconstruct
-# every control-plane decision's causal chain (trigger -> cycle ->
-# action -> mechanism -> outage) from the merged bundle alone.  Leaves
-# all artifacts under build/obs/ (CI uploads them; open the traces at
-# ui.perfetto.dev).
+# End-to-end observability self-check over the one telemetry pipeline
+# (every run exports through TelemetryBundle), two layers.  Single run:
+# an instrumented warm reboot captured as a one-shard bundle; the span
+# critical path must reconcile with the reboot report, the Perfetto
+# export must be strict JSON, and the Prometheus page must parse back
+# exactly.  Fleet: a two-shard fleet whose merged bundle must round-trip
+# JSON bit-identically, reproduce the report's availability/downtime to
+# zero deviation, pass its SLO, and reconstruct every control-plane
+# decision's causal chain (trigger -> cycle -> action -> mechanism ->
+# outage) from the bundle alone.  Leaves all artifacts under build/obs/
+# (CI uploads them; open the traces at ui.perfetto.dev).
 obs-check:
-	$(PYTHON) -m repro.analysis --trace-out build/obs/trace.json --prom-out build/obs/metrics.prom
 	$(PYTHON) -m repro.obs check --out build/obs
 
 bench:

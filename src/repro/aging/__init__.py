@@ -5,8 +5,9 @@ them (:class:`AgingFaults`), watches their effect (:class:`AgingMonitor`),
 schedules rejuvenation (time- and threshold-based policies, §3.2), and
 computes service availability from measured downtimes (§5.3).
 
-The policy/detector classes depend on :mod:`repro.core` (they drive a
-host), while the VMM depends on :class:`AgingFaults` from here — so those
+:class:`AgingFaults` is defined in :mod:`repro.config` (the VMM, below
+this package, consults it) and re-exported here.  The policy/detector
+classes depend on :mod:`repro.core` (they drive a host), so those
 heavier exports are loaded lazily to keep the import graph acyclic.
 """
 
@@ -15,7 +16,7 @@ from repro.aging.availability import (
     format_availability,
     paper_plans,
 )
-from repro.aging.faults import AgingFaults
+from repro.config import AgingFaults
 
 __all__ = [
     "AgingFaults",

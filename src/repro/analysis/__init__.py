@@ -2,7 +2,8 @@
 
 Turns trace records and phase reports into the paper's reported
 quantities: Figure 6 downtimes, §5.6 fitted linear models, §3.2 downtime
-algebra, Figure 7 throughput timelines, §5.3 availability.
+algebra, Figure 7 throughput timelines and span critical paths, §5.3
+availability.
 """
 
 from repro.analysis.downtime import (
@@ -21,20 +22,11 @@ from repro.analysis.export import (
     write_result,
 )
 from repro.analysis.fitting import LinearFit, fit_constant, fit_line
-from repro.analysis.obs import (
+from repro.analysis.critical_path import (
     CriticalPath,
     CriticalPathEntry,
-    SpanNode,
-    SpanTree,
-    build_span_tree,
-    capture_simulators,
-    parse_prometheus,
-    perfetto_trace,
-    prometheus_snapshot,
     reboot_critical_path,
     reconcile,
-    render_prometheus,
-    write_perfetto,
 )
 from repro.analysis.report import (
     ComparisonRow,
@@ -61,32 +53,23 @@ __all__ = [
     "DowntimeModel",
     "DowntimeSummary",
     "LinearFit",
-    "SpanNode",
-    "SpanTree",
     "all_within_tolerance",
     "bucketize",
-    "build_span_tree",
-    "capture_simulators",
     "downtime_by_domain",
     "extract_downtimes",
     "fit_constant",
     "fit_line",
     "mean_rate",
     "paper_model",
-    "parse_prometheus",
-    "perfetto_trace",
-    "prometheus_snapshot",
     "reboot_critical_path",
     "reboot_downtime_summary",
     "reconcile",
     "render_comparison",
-    "render_prometheus",
     "render_table",
     "result_to_json",
     "rows_to_csv",
     "series_to_csv",
     "sum_series",
-    "write_perfetto",
     "write_result",
     "zero_intervals",
 ]

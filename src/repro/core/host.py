@@ -11,8 +11,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.aging.faults import AgingFaults
-from repro.config import TimingProfile, paper_testbed
+from repro.config import AgingFaults, TimingProfile, paper_testbed
 from repro.core.roothammer import RootHammerHypervisor
 from repro.errors import RejuvenationError
 from repro.guest.filesystem import Filesystem

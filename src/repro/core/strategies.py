@@ -18,7 +18,8 @@ from the client side.
 Every strategy also runs inside a ``reboot`` causal span (actor = host
 name, detail = strategy) with one ``reboot.phase`` child span per phase,
 so the Perfetto exporter shows the same breakdown Figure 7 tabulates and
-:func:`repro.analysis.obs.reboot_critical_path` can reconcile the two.
+:func:`repro.analysis.critical_path.reboot_critical_path` can reconcile
+the two.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import pathlib
 import sys
 import time
 import typing
@@ -90,9 +89,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--trace-out",
         metavar="PATH",
-        help="write a Perfetto trace (spans + metric counters) per "
-        "simulation; forces --jobs 1 and --no-cache and enables metrics, "
-        "since capture needs every cell to run in-process",
+        help="write one Perfetto trace (spans + metric counters) of the "
+        "sweep, one process pair per simulation; forces --jobs 1 and "
+        "--no-cache and enables metrics, since capture needs every cell "
+        "to run in-process",
     )
     args = parser.parse_args(argv)
 
@@ -121,14 +121,12 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     use_cache = not args.no_cache
     capture: typing.Any = contextlib.nullcontext([])
-    previous_metrics = os.environ.get("REPRO_METRICS")
     if args.trace_out:
-        from repro.analysis.obs import capture_simulators
+        from repro.obs import instrumented
 
         jobs = 1  # subprocess cells would escape the capture hook
         use_cache = False  # cached cells build no simulator to capture
-        os.environ["REPRO_METRICS"] = "1"
-        capture = capture_simulators()
+        capture = instrumented()
     stats = SweepStats()
     # perf_counter, not time.time: wall time jumps under NTP (simlint SL001).
     started = time.perf_counter()
@@ -144,27 +142,13 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if args.trace_out:
-            if previous_metrics is None:
-                del os.environ["REPRO_METRICS"]
-            else:
-                os.environ["REPRO_METRICS"] = previous_metrics
     elapsed = time.perf_counter() - started
 
     if args.trace_out:
-        from repro.analysis.obs import write_perfetto
+        from repro.obs import TelemetryBundle
 
-        target = pathlib.Path(args.trace_out)
-        for index, sim in enumerate(captured):
-            path = (
-                target
-                if len(captured) == 1
-                else target.with_name(
-                    f"{target.stem}-{index:02d}{target.suffix or '.json'}"
-                )
-            )
-            print(f"  wrote {write_perfetto(path, sim.trace, sim.metrics)}")
+        bundle = TelemetryBundle.from_simulators("+".join(targets), captured)
+        print(f"  wrote {bundle.write_perfetto(args.trace_out)}")
 
     failures = 0
     for key in targets:

@@ -19,10 +19,6 @@ Equivalence with the serial path is by construction: the serial runner
 cell functions and the *same* ``assemble``; the tests in
 ``tests/experiments/test_parallel.py`` assert bit-identical rows across
 serial, parallel and cached runs.
-
-The moved machinery is re-exported here under its historical names, so
-existing imports (``from repro.experiments.parallel import Cell``) keep
-working.
 """
 
 from __future__ import annotations
@@ -35,11 +31,6 @@ from repro.experiments.common import ExperimentResult
 from repro.jobs import (  # noqa: F401 - re-exported for back-compat
     Cell,
     SweepStats,
-    _cache_load,
-    _cache_store,
-    _execute_cell,
-    _profile_fingerprint,
-    _resolve_jobs,
     _run_cells,
     cache_dir,
     clear_cache,

@@ -1,13 +1,14 @@
-"""Fleet-scale observability: merged telemetry, SLOs, decision timelines.
+"""Observability: the telemetry bundle, SLOs, decision timelines.
 
-The scenario/fleet tiers *collect* telemetry (metric series, causal
-spans, control audits); this package is where it becomes *legible* at
-fleet scale:
+The simulator and the scenario/fleet tiers *collect* telemetry (metric
+series, causal spans, control audits); this package is where it becomes
+*legible*, for one run or a whole fleet:
 
-* :mod:`repro.obs.bundle` — per-shard telemetry blobs captured in fleet
-  workers and merged into one :class:`TelemetryBundle` with host→shard
-  provenance, exportable as a single Perfetto document and a single
-  Prometheus page for the whole fleet;
+* :mod:`repro.obs.bundle` — per-shard telemetry blobs (captured in fleet
+  workers, or from in-process simulators via :func:`instrumented`)
+  merged into one :class:`TelemetryBundle` with host→shard provenance,
+  the only exporter: one Perfetto document and one Prometheus page per
+  run;
 * :mod:`repro.obs.slo` — declarative service-level objectives (the
   ``[slo]`` TOML table) evaluated into burn-rate series and pass/fail
   reports;
@@ -15,10 +16,17 @@ fleet scale:
   with its surrounding telemetry into a causal chain: detector trigger →
   plan → action spans → downtime consequence;
 * ``python -m repro.obs`` — the CLI over all three (``explain`` a bundle,
-  ``check`` the whole pipeline end-to-end).
+  ``check`` the whole pipeline end-to-end, single run and fleet).
 """
 
-from repro.obs.bundle import ShardTelemetry, TelemetryBundle, capture_shard
+from repro.obs.bundle import (
+    ShardTelemetry,
+    TelemetryBundle,
+    capture_shard,
+    instrumented,
+    parse_prometheus,
+    render_prometheus,
+)
 from repro.obs.slo import (
     SLOSpec,
     burn_rate_series,
@@ -44,8 +52,11 @@ __all__ = [
     "decision_timelines",
     "evaluate_slo",
     "histogram_quantile",
+    "instrumented",
     "merge_latency_histogram",
     "outage_intervals",
+    "parse_prometheus",
+    "render_prometheus",
     "render_slo",
     "render_timelines",
 ]

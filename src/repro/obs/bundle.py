@@ -1,21 +1,27 @@
-"""Per-shard telemetry blobs and the fleet-wide merged bundle.
+"""Per-run telemetry blobs, the merged bundle, and its exporters.
 
-A fleet run executes its shards in worker processes; the simulators die
-with the workers, so anything observability needs must travel home as
-plain data through the cell protocol.  :func:`capture_shard` snapshots
-one shard simulator into a :class:`ShardTelemetry` blob — resolved span
-intervals, the decision/availability trace records, full metric sample
-series, and the control plane's audit + trigger log —
-and :meth:`TelemetryBundle.merge` folds the ordered blobs into one
-fleet-wide bundle with host→shard provenance.
+Every exported run is a :class:`TelemetryBundle`.  A fleet run executes
+its shards in worker processes; the simulators die with the workers, so
+anything observability needs must travel home as plain data through the
+cell protocol.  :func:`capture_shard` snapshots one simulator into a
+:class:`ShardTelemetry` blob — resolved span intervals, the
+decision/availability trace records, full metric sample series, and the
+control plane's audit + trigger log — and :meth:`TelemetryBundle.merge`
+folds the ordered blobs into one bundle with host→shard provenance.  A
+single in-process run (a scenario, an experiment sweep, the self-check's
+warm reboot) is the same thing with one shard per simulator:
+:func:`instrumented` collects the simulators a block builds and
+:meth:`TelemetryBundle.from_simulators` captures them.
 
-The bundle is the *single source* for every fleet-scale export:
+The bundle is the *single source* for every export:
 
 * :meth:`TelemetryBundle.to_perfetto` — one merged Chrome trace-event
   document, one process group per shard (span thread tracks + counter
   tracks), loadable directly in https://ui.perfetto.dev;
 * :meth:`TelemetryBundle.to_prometheus` — one text exposition page whose
-  samples carry a ``shard`` label on top of the instrument labels;
+  samples carry a ``shard`` label on top of the instrument labels
+  (:func:`render_prometheus`, with :func:`parse_prometheus` as its
+  dependency-free inverse);
 * :func:`repro.obs.timeline.decision_timelines` — causal chains per
   control-plane decision, reconstructed from the bundle alone.
 
@@ -27,13 +33,17 @@ pinned to).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import pathlib
 import typing
 
-from repro.analysis.obs import render_prometheus
 from repro.errors import AnalysisError
+from repro.simkernel import kernel as _kernel
+from repro.simkernel.metrics import METRIC_SCHEMA
+from repro.simkernel.spans import resolve_spans
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.kernel import Simulator
@@ -69,10 +79,13 @@ class ShardTelemetry:
     triggers: list[dict]
 
     def to_dict(self) -> dict:
+        """The blob as plain data (the cell-payload form)."""
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardTelemetry":
+        """Rebuild a blob from :meth:`to_dict` output; a missing or
+        unknown field raises :class:`AnalysisError`."""
         try:
             return cls(**data)
         except TypeError as exc:
@@ -87,28 +100,6 @@ def capture_shard(
     triggers: typing.Sequence[dict] = (),
 ) -> ShardTelemetry:
     """Snapshot one shard simulator into a plain-data telemetry blob."""
-    spans: list[dict] = []
-    by_id: dict[int, dict] = {}
-    for record in sim.trace.select("span."):
-        if record.kind == "span.begin":
-            node = {
-                "span": record["span"],
-                "parent": record["parent"],
-                "name": record["name"],
-                "actor": record["actor"],
-                "detail": record["detail"],
-                "start": record.time,
-                "end": None,
-            }
-            by_id[node["span"]] = node
-            spans.append(node)
-        else:  # span.end
-            node = by_id.get(record["span"])
-            if node is None:
-                raise AnalysisError(
-                    f"span.end for unknown span id {record['span']}"
-                )
-            node["end"] = record.time
     flat: list[tuple[int, dict]] = []
     for prefix in RECORD_PREFIXES:
         for record in sim.trace.select(prefix):
@@ -122,7 +113,7 @@ def capture_shard(
     return ShardTelemetry(
         shard=shard,
         hosts=list(hosts),
-        spans=spans,
+        spans=resolve_spans(sim.trace),
         records=[record for _, record in flat],
         metrics=sim.metrics.series_snapshot() if sim.metrics.enabled else {},
         audit=list(audit),
@@ -130,9 +121,37 @@ def capture_shard(
     )
 
 
+@contextlib.contextmanager
+def instrumented() -> typing.Iterator[list["Simulator"]]:
+    """Collect every :class:`Simulator` constructed inside the block, with
+    metrics collection forced on.
+
+    Runners build their simulators deep inside builders and testbed
+    helpers; ``--trace-out`` needs a handle on them afterwards.  The
+    kernel calls construction-time observers, so the yielded list fills
+    in construction order.  ``REPRO_METRICS`` (which a simulator reads
+    when it is built) is ``1`` inside the block and restored on exit,
+    also when the block raises.
+    """
+    captured: list["Simulator"] = []
+    observer = captured.append
+    previous = os.environ.get("REPRO_METRICS")
+    os.environ["REPRO_METRICS"] = "1"
+    _kernel._observers.append(observer)
+    try:
+        yield captured
+    finally:
+        _kernel._observers.remove(observer)
+        if previous is None:
+            del os.environ["REPRO_METRICS"]
+        else:
+            os.environ["REPRO_METRICS"] = previous
+
+
 @dataclasses.dataclass
 class TelemetryBundle:
-    """The fleet-wide merge of every shard's telemetry blob."""
+    """The merge of every shard's telemetry blob: a fleet run's shards, or
+    the simulators of an in-process run (:meth:`from_simulators`)."""
 
     fleet: str
     shards: list[ShardTelemetry]
@@ -154,6 +173,20 @@ class TelemetryBundle:
                 )
         return cls(fleet=fleet, shards=shards)
 
+    @classmethod
+    def from_simulators(
+        cls, name: str, sims: typing.Sequence["Simulator"]
+    ) -> "TelemetryBundle":
+        """The bundle of an in-process run: simulator *i* becomes shard
+        *i* (no host provenance), captured and merged like fleet shards."""
+        return cls.merge(
+            name,
+            [
+                capture_shard(sim, shard, hosts=()).to_dict()
+                for shard, sim in enumerate(sims)
+            ],
+        )
+
     # -- provenance ---------------------------------------------------------------
 
     def host_shard(self) -> dict[str, int]:
@@ -172,6 +205,7 @@ class TelemetryBundle:
     # -- (de)serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The bundle as plain data: fleet name, host→shard map, blobs."""
         return {
             "fleet": self.fleet,
             "hosts": self.host_shard(),
@@ -180,6 +214,8 @@ class TelemetryBundle:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TelemetryBundle":
+        """Rebuild a bundle from :meth:`to_dict` output (the form a fleet
+        report carries); malformed input raises :class:`AnalysisError`."""
         try:
             fleet = data["fleet"]
             blobs = data["shards"]
@@ -316,9 +352,9 @@ class TelemetryBundle:
         """A fleet-wide value snapshot: every shard's instruments with a
         ``shard`` provenance label merged into their label sets.
 
-        The shape matches :meth:`MetricsRegistry.snapshot`, so the
-        existing :func:`repro.analysis.obs.render_prometheus` renders it
-        unchanged — one page for the whole fleet.
+        The shape matches :meth:`MetricsRegistry.snapshot`, so
+        :func:`render_prometheus` renders it unchanged — one page for the
+        whole fleet.
         """
         out: dict[str, list[dict]] = {}
         for shard in self.shards:
@@ -378,3 +414,96 @@ class TelemetryBundle:
             for record in shard.records:
                 out.append({**record, "shard": shard.shard})
         return out
+
+
+# -- Prometheus text exposition ---------------------------------------------------
+
+
+def _prom_name(name: str) -> str:
+    """``disk.queue_depth`` -> ``repro_disk_queue_depth``."""
+    return "repro_" + name.replace(".", "_")
+
+
+def _prom_labels(labels: typing.Mapping[str, str]) -> str:
+    if not labels:
+        return ""
+    inner = ",".join(
+        '{}="{}"'.format(
+            k, str(v).replace("\\", r"\\").replace('"', r"\"")
+        )
+        for k, v in sorted(labels.items())
+    )
+    return "{" + inner + "}"
+
+
+def render_prometheus(
+    snapshot: typing.Mapping[str, list[dict[str, typing.Any]]]
+) -> str:
+    """Prometheus text exposition of a registry snapshot.
+
+    ``snapshot`` has the :meth:`~repro.simkernel.metrics.MetricsRegistry.snapshot`
+    shape (:meth:`TelemetryBundle.merged_snapshot` is one).  Counters get
+    the conventional ``_total`` suffix; histograms expand to
+    ``_bucket{le=...}`` / ``_sum`` / ``_count`` with cumulative buckets.
+    """
+    lines: list[str] = []
+    for name in sorted(snapshot):
+        spec = METRIC_SCHEMA.get(name)
+        if spec is None:
+            raise AnalysisError(f"snapshot holds unregistered metric {name!r}")
+        base = _prom_name(name)
+        sample_name = base + ("_total" if spec.kind == "counter" else "")
+        lines.append(f"# HELP {base} {spec.help}")
+        lines.append(f"# TYPE {base} {spec.kind}")
+        for entry in snapshot[name]:
+            labels = entry["labels"]
+            if spec.kind == "histogram":
+                for le, count in entry["buckets"]:
+                    le_text = le if le == "+Inf" else repr(float(le))
+                    lines.append(
+                        f"{base}_bucket"
+                        f"{_prom_labels({**labels, 'le': le_text})}"
+                        f" {count}"
+                    )
+                lines.append(f"{base}_sum{_prom_labels(labels)} {entry['sum']!r}")
+                lines.append(f"{base}_count{_prom_labels(labels)} {entry['count']}")
+            else:
+                lines.append(
+                    f"{sample_name}{_prom_labels(labels)} {entry['value']!r}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def parse_prometheus(
+    text: str,
+) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
+    """Parse a text exposition back into ``(name, labels) -> value``.
+
+    Supports exactly what :func:`render_prometheus` emits (one sample per
+    line, ``#`` comments); round-trip checks diff this against the
+    snapshot the text came from.
+    """
+    out: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name_part, _, value_part = line.rpartition(" ")
+        if not name_part:
+            raise AnalysisError(f"malformed sample on line {lineno}: {line!r}")
+        labels: list[tuple[str, str]] = []
+        if name_part.endswith("}"):
+            name, _, label_text = name_part.partition("{")
+            for item in label_text[:-1].split(","):
+                key, _, raw = item.partition("=")
+                if not raw.startswith('"') or not raw.endswith('"'):
+                    raise AnalysisError(
+                        f"malformed label on line {lineno}: {item!r}"
+                    )
+                labels.append(
+                    (key, raw[1:-1].replace(r"\"", '"').replace(r"\\", "\\"))
+                )
+        else:
+            name = name_part
+        out[(name, tuple(labels))] = float(value_part)
+    return out

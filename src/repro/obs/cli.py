@@ -3,7 +3,7 @@
 Exposed as ``python -m repro.obs ...``::
 
     obs explain BUNDLE.json [--json]   # decision timelines from a bundle
-    obs check [--out DIR]              # fleet-mode end-to-end self-check
+    obs check [--out DIR]              # end-to-end self-check (make obs-check)
 
 ``explain`` reconstructs every control-plane decision's causal chain
 (detector trigger → plan → action spans → downtime consequence) from a
@@ -11,19 +11,28 @@ merged telemetry bundle alone — the file a fleet run writes via
 ``python -m repro.fleet run --obs-out`` or
 :meth:`~repro.obs.bundle.TelemetryBundle.write`.
 
-``check`` runs a small deterministic 2-shard fleet with telemetry, a
-control policy and an SLO attached, writes the merged artifacts
-(Perfetto document, Prometheus page, bundle JSON, SLO report, decision
-timelines), and asserts the cross-layer invariants the observability
-stack promises: the bundle round-trips through JSON bit-identically, the
-merged Prometheus page's per-workload availability/downtime agree with
-the fleet report to zero deviation, every decision reconstructs into a
-timeline, and the SLO verdict is reproducible from the bundle alone.
-This backs the ``make obs-check`` fleet-mode gate.
+``check`` exercises the one telemetry pipeline twice and backs the
+``make obs-check`` gate:
 
-The fleet tier sits *above* this package; the self-check imports it
-lazily inside the command handler, keeping the module graph's layering
-clean for everything that only wants the evaluation primitives.
+* **single run** — an instrumented warm reboot on a small testbed,
+  captured as a one-shard bundle: every span is closed, the span
+  critical path reconciles with the strategy's ``RebootReport``, the
+  Perfetto document is strict JSON with span and counter events, and
+  the Prometheus page parses back to the exact snapshot values;
+* **fleet** — a small deterministic 2-shard fleet with telemetry, a
+  control policy and an SLO attached: the bundle round-trips through
+  JSON bit-identically, the merged Prometheus page's per-workload
+  availability/downtime agree with the fleet report to zero deviation,
+  every decision reconstructs into a timeline, and the SLO verdict is
+  reproducible from the bundle alone.
+
+``--out DIR`` also writes every artifact (Perfetto documents,
+Prometheus pages, bundle JSON, SLO report, decision timelines).
+
+The testbed and fleet tiers sit *above* this package; the self-check
+imports them lazily inside the command handler, keeping the module
+graph's layering clean for everything that only wants the evaluation
+primitives.
 """
 
 from __future__ import annotations
@@ -34,10 +43,12 @@ import pathlib
 import sys
 import typing
 
+from repro.analysis.critical_path import reboot_critical_path, reconcile
 from repro.errors import AnalysisError, ReproError
-from repro.obs.bundle import TelemetryBundle
+from repro.obs.bundle import TelemetryBundle, instrumented, parse_prometheus
 from repro.obs.slo import render_slo
 from repro.obs.timeline import decision_timelines, render_timelines
+from repro.simkernel.metrics import METRIC_SCHEMA
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -121,8 +132,6 @@ def _check_zero_deviation(bundle: TelemetryBundle, report) -> None:
     """The merged Prometheus page must reproduce the fleet report's
     per-workload availability and downtime exactly (repr round-trip,
     not within-tolerance)."""
-    from repro.analysis.obs import parse_prometheus
-
     parsed = parse_prometheus(bundle.to_prometheus())
     host_shard = bundle.host_shard()
     for metric, field in (
@@ -197,8 +206,94 @@ def _check_timelines(bundle: TelemetryBundle, report) -> None:
                 )
 
 
+def _check_single_run(out: pathlib.Path | None) -> None:
+    """An instrumented warm reboot, exported as a one-shard bundle and
+    cross-checked against the strategy's own report."""
+    from repro.experiments.common import build_testbed
+    from repro.units import kib
+    from repro.workloads.httperf import Httperf
+
+    with instrumented() as sims:
+        controller = build_testbed(3, services=("apache",))
+    guest = controller.guest("vm01")
+    paths = guest.filesystem.create_many("/www", 50, kib(512))
+    controller.run_process(guest.warm_file_cache(paths))
+    client = Httperf(
+        controller.sim,
+        lambda: controller.host.guest("vm01").service("apache"),
+        paths,
+        concurrency=2,
+        name="obs-check",
+    ).start()
+    controller.run_for(10.0)
+    report = controller.rejuvenate("warm")
+    controller.run_for(30.0)
+    client.stop()
+    bundle = TelemetryBundle.from_simulators("obs-check-single", sims)
+    (shard,) = bundle.shards
+
+    # 1. Every span must be closed (balanced begin/end).
+    open_spans = [span["span"] for span in shard.spans if span["end"] is None]
+    _require(not open_spans, f"unbalanced spans left open: {open_spans}")
+
+    # 2. The span critical path must reconcile with the reboot report.
+    path = reboot_critical_path(controller.sim.trace)
+    worst = reconcile(path, report)
+    print(
+        f"critical path: {len(path.entries)} phases, "
+        f"total {path.total:.3f} s, worst deviation {worst:.2e} s"
+    )
+
+    # 3. The Perfetto document must be strict JSON with both track types.
+    document = bundle.to_perfetto()
+    try:
+        encoded = json.dumps(document, allow_nan=False)
+    except ValueError as exc:
+        raise AnalysisError(
+            f"obs self-check failed: Perfetto export is not strict JSON: {exc}"
+        ) from None
+    phases = [event["ph"] for event in document["traceEvents"]]
+    print(
+        f"perfetto: {phases.count('X')} span events, "
+        f"{phases.count('C')} counter events, {len(encoded)} bytes"
+    )
+    _require("X" in phases, "Perfetto export contains no span events")
+    _require("C" in phases, "Perfetto export contains no counter events")
+
+    # 4. The Prometheus page must parse back to the snapshot's values.
+    text = bundle.to_prometheus()
+    parsed = parse_prometheus(text)
+    plain = [
+        (name, entry)
+        for name, entries in bundle.merged_snapshot().items()
+        for entry in entries
+        if "value" in entry
+    ]
+    for name, entry in plain:
+        # The exposition naming convention, derived apart from the renderer.
+        sample = "repro_" + name.replace(".", "_")
+        if METRIC_SCHEMA[name].kind == "counter":
+            sample += "_total"
+        key = (sample, tuple(sorted(entry["labels"].items())))
+        _require(
+            parsed.get(key) == entry["value"],
+            f"Prometheus round-trip lost {sample}: "
+            f"{parsed.get(key)} != {entry['value']}",
+        )
+    print(
+        f"prometheus: {len(parsed)} samples, "
+        f"{len(plain)} counter/gauge values verified"
+    )
+    if out is not None:
+        print(f"wrote {bundle.write_perfetto(out / 'trace.json')}")
+        print(f"wrote {bundle.write_prometheus(out / 'metrics.prom')}")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.fleet.runner import run_fleet
+
+    out = pathlib.Path(args.out) if args.out else None
+    _check_single_run(out)
 
     spec = _check_fleet_spec()
     report = run_fleet(spec, jobs=1, use_cache=False)
@@ -229,9 +324,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(report.render())
     timelines = decision_timelines(bundle)
     print(f"obs check: {len(timelines)} decision timeline(s) reconstructed")
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         print(f"wrote {bundle.write(out / 'fleet.bundle.json')}")
         print(f"wrote {bundle.write_perfetto(out / 'fleet.perfetto.json')}")
         print(f"wrote {bundle.write_prometheus(out / 'fleet.prom')}")
@@ -248,6 +341,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.obs`` argument parser (``explain``/``check``)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Fleet-scale observability: explain decisions, "
@@ -269,19 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run a 2-shard fleet and verify merged telemetry, SLO and "
-        "timeline invariants end-to-end",
+        help="run an instrumented warm reboot and a 2-shard fleet and "
+        "verify spans, exporters, SLO and timeline invariants end-to-end",
     )
     check.add_argument(
         "--out", metavar="DIR", default=None,
-        help="also write the merged artifacts (bundle, Perfetto, "
-        "Prometheus, SLO report, timelines) under DIR",
+        help="also write the artifacts (single-run Perfetto and "
+        "Prometheus; fleet bundle, Perfetto, Prometheus, SLO report, "
+        "timelines) under DIR",
     )
     check.set_defaults(fn=_cmd_check)
     return parser
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
+    """Run the CLI; returns the exit code (2 on any failed check)."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -104,6 +104,8 @@ class SLOSpec:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "slo") -> "SLOSpec":
+        """Parse the ``[slo]`` table; ``where`` prefixes error messages.
+        Unknown keys and out-of-range values raise :class:`ScenarioError`."""
         _require(
             isinstance(data, dict),
             where,
@@ -129,6 +131,7 @@ class SLOSpec:
             raise ScenarioError(f"{where}: {exc}") from None
 
     def to_dict(self) -> dict:
+        """The spec as a plain ``[slo]`` table (inverse of :meth:`from_dict`)."""
         return {
             field.name: getattr(self, field.name)
             for field in dataclasses.fields(self)

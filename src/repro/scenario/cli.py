@@ -60,22 +60,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         spec = dataclasses.replace(spec, policy=policy)
     if args.trace_out:
-        import os
+        from repro.obs import TelemetryBundle, instrumented
 
-        from repro.analysis.obs import capture_simulators, write_perfetto
-
-        previous = os.environ.get("REPRO_METRICS")
-        os.environ["REPRO_METRICS"] = "1"  # the builder owns Simulator creation
-        try:
-            with capture_simulators() as sims:
-                report = run_scenario(spec)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_METRICS"]
-            else:
-                os.environ["REPRO_METRICS"] = previous
-        for sim in sims:
-            print(f"wrote {write_perfetto(args.trace_out, sim.trace, sim.metrics)}")
+        with instrumented() as sims:
+            report = run_scenario(spec)
+        bundle = TelemetryBundle.from_simulators(spec.name, sims)
+        print(f"wrote {bundle.write_perfetto(args.trace_out)}")
     else:
         report = run_scenario(spec)
     print(report.render())
@@ -109,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="PATH",
         default=None,
-        help="write a Perfetto trace (spans + metric counter tracks) of "
-        "the run; implies metrics collection (REPRO_METRICS=1)",
+        help="write the run's telemetry bundle as one Perfetto trace "
+        "(spans + metric counter tracks); implies metrics collection "
+        "(REPRO_METRICS=1)",
     )
     run.add_argument(
         "--policy",

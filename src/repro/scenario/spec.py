@@ -299,7 +299,7 @@ class WorkloadSpec:
 class FaultSpec:
     """Injected software aging: the §2 leak defects plus a heap-leak rate.
 
-    ``preset`` selects a named :class:`~repro.aging.faults.AgingFaults`
+    ``preset`` selects a named :class:`~repro.config.AgingFaults`
     catalogue entry; the explicit ``*_kib`` knobs override individual
     magnitudes.  ``heap_leak_kib_per_hour`` additionally runs a
     :class:`~repro.aging.watchdog.HeapExhaustionCrasher` (plus a crash
@@ -329,8 +329,8 @@ class FaultSpec:
             _require(value >= 0, f"faults.{field}", f"must be >= 0, got {value}")
 
     def to_aging_faults(self):
-        """The :class:`~repro.aging.faults.AgingFaults` this spec asks for."""
-        from repro.aging.faults import AgingFaults
+        """The :class:`~repro.config.AgingFaults` this spec asks for."""
+        from repro.config import AgingFaults
 
         base = (
             AgingFaults.paper_bugs()

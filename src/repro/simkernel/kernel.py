@@ -47,9 +47,9 @@ from repro.simkernel.process import Process, ProcessGenerator
 _observers: list[typing.Callable[["Simulator"], None]] = []
 """Callbacks invoked with each newly constructed :class:`Simulator`.
 
-Normally empty; :func:`repro.analysis.obs.capture_simulators` registers
-one so CLI trace export can reach simulators built deep inside
-experiment runners.  Construction-time only — observers never see run
+Normally empty; :func:`repro.obs.instrumented` registers one so CLI
+trace export can reach simulators built deep inside experiment
+runners.  Construction-time only — observers never see run
 events and cannot perturb anything.
 """
 

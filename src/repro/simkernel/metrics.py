@@ -20,8 +20,8 @@ Two properties are load-bearing:
   or off (the determinism contract; pinned by the golden-rows tests).
 
 When enabled, every counter/gauge update also appends an
-``(time, value)`` sample pair, which is what the Perfetto exporter in
-:mod:`repro.analysis.obs` turns into counter tracks.  Histograms keep
+``(time, value)`` sample pair, which is what the telemetry bundle's
+Perfetto exporter (:mod:`repro.obs.bundle`) turns into counter tracks.  Histograms keep
 bucket counts only — their Prometheus exposition does not need a time
 series.
 

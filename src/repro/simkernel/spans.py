@@ -27,16 +27,21 @@ SL008 statically rejects unregistered literal names, and
 exporter and the critical-path analyzer can rely on the vocabulary.
 Per-instance variation (which strategy, which phase, which domain) goes
 in the free-form ``detail`` field, not the name.
+
+:func:`resolve_spans` is the one span join: it turns the begin/end
+record pairs back into plain interval dicts, the form the telemetry
+bundle stores and the critical-path analysis reads.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.errors import SimulationError
+from repro.errors import AnalysisError, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.kernel import Simulator
+    from repro.simkernel.tracing import Tracer
 
 ROOT = 0
 """``parent`` id of a top-level span (real span ids start at 1)."""
@@ -185,3 +190,38 @@ class SpanTracker:
     def open_spans(self) -> dict[str, list[int]]:
         """Actor -> open span-id stack (outermost first); for leak checks."""
         return {actor: list(stack) for actor, stack in self._stacks.items()}
+
+
+def resolve_spans(trace: "Tracer") -> list[dict]:
+    """Join a trace's ``span.begin``/``span.end`` records into intervals.
+
+    Returns one plain dict per span, in begin order (ids are allocated in
+    begin order, so this is also id order): ``{"span", "parent", "name",
+    "actor", "detail", "start", "end"}`` with ``end: None`` for a span
+    still open.  An end for an unknown span id and a span ended twice
+    are structural corruption and raise :class:`AnalysisError`.
+    """
+    spans: list[dict] = []
+    by_id: dict[int, dict] = {}
+    for record in trace.select("span."):
+        if record.kind == "span.begin":
+            node = {
+                "span": record["span"],
+                "parent": record["parent"],
+                "name": record["name"],
+                "actor": record["actor"],
+                "detail": record["detail"],
+                "start": record.time,
+                "end": None,
+            }
+            by_id[node["span"]] = node
+            spans.append(node)
+        else:  # span.end
+            span_id = record["span"]
+            node = by_id.get(span_id)
+            if node is None:
+                raise AnalysisError(f"span.end for unknown span id {span_id}")
+            if node["end"] is not None:
+                raise AnalysisError(f"span id {span_id} ended twice")
+            node["end"] = record.time
+    return spans

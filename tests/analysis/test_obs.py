@@ -1,187 +1,14 @@
-"""Exporter round-trips and critical-path reconciliation for the
-observability layer (:mod:`repro.analysis.obs`)."""
+"""Critical-path reconciliation: the span view of a reboot against the
+strategy's own report (:mod:`repro.analysis.critical_path`).
 
-import json
+The exporters these once shared a file with live on the telemetry bundle
+and are tested in ``tests/obs/test_exporters.py``."""
 
 import pytest
 
-from repro.analysis.obs import (
-    build_span_tree,
-    capture_simulators,
-    parse_prometheus,
-    perfetto_trace,
-    prometheus_snapshot,
-    reboot_critical_path,
-    reconcile,
-    render_prometheus,
-    write_perfetto,
-)
+from repro.analysis import reboot_critical_path, reconcile
 from repro.errors import AnalysisError
 from repro.experiments.common import build_testbed
-from repro.simkernel import Simulator
-
-
-@pytest.fixture()
-def sim():
-    return Simulator(metrics=True)
-
-
-class TestSpanTree:
-    def test_forest_structure_and_ordering(self, sim):
-        with sim.spans.span("reboot", actor="h0", detail="warm"):
-            with sim.spans.span("reboot.phase", actor="h0", detail="a"):
-                pass
-            with sim.spans.span("reboot.phase", actor="h0", detail="b"):
-                pass
-        with sim.spans.span("guest.boot", actor="vm1"):
-            pass
-        tree = build_span_tree(sim.trace)
-        assert [root.name for root in tree.roots] == ["reboot", "guest.boot"]
-        (reboot, _) = tree.roots
-        assert [child.detail for child in reboot.children] == ["a", "b"]
-        assert [node.name for node in reboot.walk()] == [
-            "reboot", "reboot.phase", "reboot.phase",
-        ]
-        assert len(tree.find("reboot.phase")) == 2
-        assert tree.find("guest.boot", actor="h0") == []
-
-    def test_open_span_has_no_duration(self, sim):
-        span = sim.spans.span("reboot", actor="h0")
-        span.__enter__()
-        tree = build_span_tree(sim.trace)
-        node = tree.roots[0]
-        assert not node.closed
-        with pytest.raises(AnalysisError, match="still open"):
-            node.duration
-
-    def test_end_without_begin_is_rejected(self, sim):
-        sim.trace.record("span.end", span=99)
-        with pytest.raises(AnalysisError, match="unknown span"):
-            build_span_tree(sim.trace)
-
-
-def _small_scenario(sim):
-    """A hand-driven deterministic scenario: two spans, one counter."""
-    counter = sim.metrics.counter("nic.tx_bytes", nic="eth0")
-    sim.run(until=1.0)
-    outer = sim.spans.span("reboot", actor="h0", detail="warm")
-    outer.__enter__()
-    sim.run(until=2.0)
-    counter.inc(100)
-    with sim.spans.span("reboot.phase", actor="h0", detail="suspend"):
-        sim.run(until=3.0)
-    sim.run(until=3.5)
-    counter.inc(50)
-    sim.run(until=4.0)
-    outer.__exit__(None, None, None)
-
-
-class TestPerfettoExport:
-    def test_small_scenario_matches_golden_document(self, sim):
-        """The exact trace-event JSON for a hand-driven scenario."""
-        _small_scenario(sim)
-        assert perfetto_trace(sim.trace, sim.metrics) == {
-            "displayTimeUnit": "ms",
-            "traceEvents": [
-                {"ph": "M", "pid": 1, "name": "process_name",
-                 "args": {"name": "repro-sim spans"}},
-                {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name",
-                 "args": {"name": "h0"}},
-                {"ph": "X", "pid": 1, "tid": 1,
-                 "ts": 1_000_000.0, "dur": 3_000_000.0,
-                 "name": "reboot:warm",
-                 "args": {"span": 1, "parent": 0, "detail": "warm"}},
-                {"ph": "X", "pid": 1, "tid": 1,
-                 "ts": 2_000_000.0, "dur": 1_000_000.0,
-                 "name": "reboot.phase:suspend",
-                 "args": {"span": 2, "parent": 1, "detail": "suspend"}},
-                {"ph": "M", "pid": 2, "name": "process_name",
-                 "args": {"name": "repro-sim metrics"}},
-                {"ph": "C", "pid": 2, "ts": 2_000_000.0,
-                 "name": "nic.tx_bytes{nic=eth0}", "args": {"value": 100}},
-                {"ph": "C", "pid": 2, "ts": 3_500_000.0,
-                 "name": "nic.tx_bytes{nic=eth0}", "args": {"value": 150}},
-            ],
-        }
-
-    def test_open_span_is_truncated_and_flagged(self, sim):
-        sim.run(until=1.0)
-        sim.spans.span("reboot", actor="h0").__enter__()
-        sim.run(until=2.0)
-        with sim.spans.span("reboot.phase", actor="h0"):
-            sim.run(until=5.0)
-        events = perfetto_trace(sim.trace)["traceEvents"]
-        (open_event,) = [e for e in events if e.get("args", {}).get("open")]
-        assert open_event["name"] == "reboot"
-        assert open_event["dur"] == (5.0 - 1.0) * 1e6  # truncated at horizon
-
-    def test_without_metrics_no_counter_process_appears(self, sim):
-        _small_scenario(sim)
-        events = perfetto_trace(sim.trace)["traceEvents"]
-        assert not [e for e in events if e["pid"] == 2]
-
-    def test_write_perfetto_creates_parents_and_strict_json(self, sim, tmp_path):
-        _small_scenario(sim)
-        path = write_perfetto(
-            tmp_path / "deep" / "trace.json", sim.trace, sim.metrics
-        )
-        assert path.exists()
-        document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["displayTimeUnit"] == "ms"
-        assert [e["ph"] for e in document["traceEvents"]].count("X") == 2
-
-
-class TestPrometheusRoundTrip:
-    def test_counter_and_gauge_values_parse_back_exactly(self, sim):
-        sim.metrics.counter("nic.tx_bytes", nic="eth0").inc(1536.5)
-        sim.metrics.gauge("disk.queue_depth", disk="sda").set(7)
-        text = prometheus_snapshot(sim.metrics)
-        parsed = parse_prometheus(text)
-        assert parsed[("repro_nic_tx_bytes_total", (("nic", "eth0"),))] == 1536.5
-        assert parsed[("repro_disk_queue_depth", (("disk", "sda"),))] == 7
-
-    def test_histogram_expands_to_cumulative_buckets(self, sim):
-        histogram = sim.metrics.histogram("httperf.request_latency", client="c0")
-        histogram.observe(0.002)
-        histogram.observe(0.02)
-        histogram.observe(45.0)  # beyond the last bound
-        text = prometheus_snapshot(sim.metrics)
-        assert "# TYPE repro_httperf_request_latency histogram" in text
-        parsed = parse_prometheus(text)
-
-        def bucket(le):
-            return parsed[
-                ("repro_httperf_request_latency_bucket",
-                 (("client", "c0"), ("le", le)))
-            ]
-
-        assert bucket("0.001") == 0
-        assert bucket("0.0025") == 1
-        assert bucket("0.025") == 2
-        assert bucket("30.0") == 2
-        assert bucket("+Inf") == 3
-        assert parsed[
-            ("repro_httperf_request_latency_count", (("client", "c0"),))
-        ] == 3
-
-    def test_label_escaping_round_trips(self):
-        text = render_prometheus(
-            {"nic.tx_bytes": [
-                {"labels": {"nic": 'weird"name\\x'}, "value": 1.0}
-            ]}
-        )
-        parsed = parse_prometheus(text)
-        assert parsed[
-            ("repro_nic_tx_bytes_total", (("nic", 'weird"name\\x'),))
-        ] == 1.0
-
-    def test_unregistered_snapshot_name_is_rejected(self):
-        with pytest.raises(AnalysisError, match="unregistered"):
-            render_prometheus({"no.such.metric": []})
-
-    def test_malformed_sample_line_is_rejected(self):
-        with pytest.raises(AnalysisError, match="malformed"):
-            parse_prometheus("just_a_name_no_value\n")
 
 
 class TestCriticalPath:
@@ -204,7 +31,7 @@ class TestCriticalPath:
         controller.rejuvenate("warm")
         first = reboot_critical_path(controller.sim.trace, occurrence=0)
         second = reboot_critical_path(controller.sim.trace, occurrence=1)
-        assert second.span.start >= first.span.end  # back-to-back runs touch
+        assert second.start >= first.end  # back-to-back runs touch
         with pytest.raises(AnalysisError, match="occurrence 2"):
             reboot_critical_path(controller.sim.trace, occurrence=2)
 
@@ -216,13 +43,3 @@ class TestCriticalPath:
         path = reboot_critical_path(cold.sim.trace)
         with pytest.raises(AnalysisError, match="strategy"):
             reconcile(path, warm_report)
-
-
-class TestCaptureSimulators:
-    def test_capture_sees_construction_and_unhooks_after(self):
-        with capture_simulators() as captured:
-            first = Simulator()
-            second = Simulator()
-        after = Simulator()
-        assert captured == [first, second]
-        assert after not in captured

@@ -298,6 +298,24 @@ file_kib = 512.0
         # but the reconstruction itself must accept the bundle.
         assert decision_timelines(bundle) == []
 
+    def test_run_trace_out_writes_one_merged_document(self, tmp_path, capsys):
+        # --trace-out exports the merged bundle, so it honours --jobs.
+        path = self._write(tmp_path, self._GOOD)
+        out = tmp_path / "fleet.json"
+        assert main(["run", path, "--jobs", "2", "--trace-out", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        document = json.loads(out.read_text(encoding="utf-8"))
+        processes = [
+            (event["pid"], event["args"]["name"])
+            for event in document["traceEvents"]
+            if event["name"] == "process_name"
+        ]
+        assert processes == [
+            (1, "shard0 spans"), (2, "shard0 metrics"),
+            (3, "shard1 spans"), (4, "shard1 metrics"),
+        ]
+        assert {"X", "C"} <= {e["ph"] for e in document["traceEvents"]}
+
     def test_load_fleet_toml_roundtrip(self, tmp_path):
         spec = load_fleet_toml(self._write(tmp_path, self._GOOD))
         assert spec.host_count == 2 and spec.shards == 2

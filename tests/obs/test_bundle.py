@@ -10,9 +10,13 @@ import json
 
 import pytest
 
-from repro.analysis.obs import parse_prometheus
 from repro.errors import AnalysisError
-from repro.obs import ShardTelemetry, TelemetryBundle, capture_shard
+from repro.obs import (
+    ShardTelemetry,
+    TelemetryBundle,
+    capture_shard,
+    parse_prometheus,
+)
 from repro.simkernel import Simulator
 
 _US = 1e6
@@ -88,6 +92,15 @@ class TestCaptureShard:
     def test_metrics_disabled_captures_empty_series(self, sim):
         blob = capture_shard(sim, 0, ["host0"])
         assert blob.metrics == {}
+
+    def test_span_ended_twice_is_rejected(self, sim):
+        # A corrupt trace must not be exported with its second end time
+        # silently overwriting the first.
+        with sim.spans.span("reboot", actor="host0") as span:
+            pass
+        sim.trace.record("span.end", span=span.id)
+        with pytest.raises(AnalysisError, match="ended twice"):
+            capture_shard(sim, 0, ["host0"])
 
     def test_malformed_blob_dict_is_rejected(self):
         with pytest.raises(AnalysisError, match="malformed"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.cli import main as experiments_main
@@ -58,3 +60,15 @@ def test_run_unknown_name_exits_two(capsys):
 def test_experiments_cli_dispatches_scenario_subcommand(capsys):
     assert experiments_main(["scenario", "list"]) == 0
     assert "mixed-fleet-rolling" in capsys.readouterr().out
+
+
+def test_run_trace_out_writes_one_perfetto_document(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert main(["run", "probed-warm-reboot", "--trace-out", str(out)]) == 0
+    assert capsys.readouterr().out.count("wrote ") == 1
+    document = json.loads(
+        out.read_text(encoding="utf-8"),
+        parse_constant=lambda token: pytest.fail(f"non-strict JSON {token}"),
+    )
+    phases = {event["ph"] for event in document["traceEvents"]}
+    assert {"X", "C"} <= phases

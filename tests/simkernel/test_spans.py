@@ -1,10 +1,11 @@
-"""Unit tests for the causal span layer (SpanTracker, nesting, records)."""
+"""Unit tests for the causal span layer (SpanTracker, nesting, records,
+and the begin/end join into intervals)."""
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import AnalysisError, SimulationError
 from repro.simkernel import Simulator
-from repro.simkernel.spans import ROOT, SPAN_NAMES
+from repro.simkernel.spans import ROOT, SPAN_NAMES, resolve_spans
 
 
 @pytest.fixture()
@@ -107,3 +108,28 @@ class TestInstrumentedPaths:
         assert "reboot" in names
         assert names.count("reboot.phase") >= 4
         assert controller.sim.spans.open_spans() == {}
+
+
+class TestResolveSpans:
+    def test_intervals_in_begin_order_with_parents(self, sim):
+        with sim.spans.span("reboot", actor="h0", detail="warm"):
+            with sim.spans.span("reboot.phase", actor="h0", detail="a"):
+                pass
+        with sim.spans.span("guest.boot", actor="vm1"):
+            pass
+        spans = resolve_spans(sim.trace)
+        assert [(s["span"], s["parent"], s["name"]) for s in spans] == [
+            (1, ROOT, "reboot"), (2, 1, "reboot.phase"), (3, ROOT, "guest.boot"),
+        ]
+        assert spans[1]["detail"] == "a" and spans[2]["actor"] == "vm1"
+
+    def test_open_span_has_no_end(self, sim):
+        sim.run(until=2.0)
+        sim.spans.span("reboot", actor="h0").__enter__()
+        (span,) = resolve_spans(sim.trace)
+        assert span["start"] == 2.0 and span["end"] is None
+
+    def test_end_without_begin_is_rejected(self, sim):
+        sim.trace.record("span.end", span=99)
+        with pytest.raises(AnalysisError, match="unknown span"):
+            resolve_spans(sim.trace)
