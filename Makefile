@@ -93,11 +93,12 @@ bench:
 # `REPRO_PERF_TOLERANCE=1.6 make perf-check` (or --tolerance); if the
 # drift is real and permanent, rebaseline instead — run `make perf-write`
 # on quiet hardware and commit the rewritten BENCH_PERF.json.  The
-# fluid-vs-exact speedup gate and the disabled-telemetry overhead gate
-# are the exceptions: both compare cells measured seconds apart in the
-# same run on the same machine, so no tolerance applies and rebaselining
-# cannot paper over a fluid-mode slowdown or a telemetry tax creeping
-# into the metrics-off path.
+# fluid-vs-exact speedup gate, the 400-vs-100-host fluid scaling gate
+# and the disabled-telemetry overhead gate are the exceptions: each
+# compares cells measured seconds apart in the same run on the same
+# machine, so no tolerance applies and rebaselining cannot paper over a
+# fluid-mode slowdown, a per-host cost growing with fleet size, or a
+# telemetry tax creeping into the metrics-off path.
 perf-check:
 	$(PYTHON) benchmarks/perf_report.py --check --mode quick
 

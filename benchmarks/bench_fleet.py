@@ -5,22 +5,26 @@ Standalone (prints JSON)::
     PYTHONPATH=src python benchmarks/bench_fleet.py          # quick cells
     PYTHONPATH=src python benchmarks/bench_fleet.py --full   # + 1000 hosts
 
-Three sizes exercise the tier's reason to exist:
+Four sizes exercise the tier's reason to exist:
 
 * **4 hosts, exact + fluid** — the largest size both modes run, so the
   two walls come from one machine seconds apart and their ratio
   (``fluid_speedup``) is hardware-independent.  The perf gate requires
   it ≥ ``FLUID_MIN_SPEEDUP`` (see ``perf_report.py``) — the fluid
   model must actually buy the orders of magnitude it claims.
-* **100 hosts, fluid** — a single-shard in-process run; guards the
-  per-tick vectorized accounting path against regressions.
+* **100 and 400 hosts, fluid** — single-shard in-process runs with the
+  same epoch count (a tenth of the hosts per epoch); guard the per-tick
+  vectorized accounting path against regressions, and their wall ratio
+  (``fluid_scaling``) is the same-run linearity gate: per-shard cost
+  must grow with hosts, not hosts squared (≤ ``FLUID_MAX_SCALING``).
 * **1000 hosts, fluid, 8 shards (``--full`` only)** — the acceptance
   cell: one million concurrent fluid sessions rolling through warm
   rejuvenation, the paper's consolidation story at datacenter scale.
 
 Every cell reports simulated-seconds-per-wall-second context via the
 spec horizon, but only wall clocks are guarded (lower is better,
-hardware-relative tolerance) plus the same-run speedup ratio.
+hardware-relative tolerance) plus the same-run speedup and scaling
+ratios.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ import typing
 #: Host count of the cell measured in both modes; its exact/fluid wall
 #: ratio is the same-run ``fluid_speedup`` the perf gate enforces.
 OVERLAP_HOSTS = 4
+
+#: Host counts of the two single-shard fluid cells whose wall ratio is
+#: the same-run ``fluid_scaling`` the perf gate enforces.
+SCALING_HOSTS = (100, 400)
+SCALING_ROUNDS = 2
 
 
 def _fleet_spec(
@@ -101,22 +110,27 @@ def measure(full: bool = False, jobs: int = 8) -> dict[str, typing.Any]:
             "exact_s": round(exact_s, 3),
             "fluid_s": round(fluid_s, 3),
         },
-        "100": {
-            "fluid_s": round(
-                _run(
-                    _fleet_spec(
-                        hosts=100, mode="fluid", shards=1, sessions=100,
-                        hosts_per_epoch=10, warmup_s=120.0, observe_s=600.0,
-                    ),
-                    jobs=1,
-                ),
-                3,
-            )
-        },
     }
+    # Best of SCALING_ROUNDS interleaved rounds per cell: the gate is a
+    # ratio of two walls, so a noisy slow phase must not land on one cell.
+    scaling_specs = [
+        _fleet_spec(
+            hosts=hosts, mode="fluid", shards=1, sessions=100,
+            hosts_per_epoch=hosts // 10, warmup_s=120.0, observe_s=600.0,
+        )
+        for hosts in SCALING_HOSTS
+    ]
+    rounds = [
+        [_run(spec, jobs=1) for spec in scaling_specs]
+        for _ in range(SCALING_ROUNDS)
+    ]
+    walls = [min(cell) for cell in zip(*rounds)]
+    for hosts, wall in zip(SCALING_HOSTS, walls):
+        matrix[str(hosts)] = {"fluid_s": round(wall, 3)}
     report: dict[str, typing.Any] = {
         "matrix": matrix,
         "fluid_speedup": round(exact_s / fluid_s, 1),
+        "fluid_scaling": round(walls[1] / walls[0], 2),
     }
     if full:
         # The acceptance cell: 1000 hosts x 1000 sessions = 1M fluid

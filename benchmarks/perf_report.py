@@ -14,7 +14,9 @@ and fleet wall clocks per hosts × mode cell (the ``fleet.matrix``).  Two
 gates are *relative within the fresh run* and therefore
 hardware-independent and tolerance-free: the fluid workload mode must
 beat exact mode's wall clock by at least ``FLUID_MIN_SPEEDUP`` on the
-largest fleet size both modes run, and the disabled-telemetry
+largest fleet size both modes run, a 4x larger single-shard fluid fleet
+may cost at most ``FLUID_MAX_SCALING`` times the smaller one's wall
+clock, and the disabled-telemetry
 event-loop tax (``kernel.telemetry.overhead_ratio``) must stay under
 ``TELEMETRY_MAX_OVERHEAD``.  Override the
 regression ratio with ``--tolerance 1.5`` or the
@@ -60,6 +62,16 @@ FLUID_MIN_SPEEDUP = 10.0
 this factor on the largest fleet size both modes run (schema 4,
 ``fleet.fluid_speedup``).  Same-run relative, so no hardware tolerance
 applies — both modes saw the same machine."""
+
+FLUID_MAX_SCALING = 5.5
+"""Ceiling on ``fleet.fluid_scaling``: the 400-host single-shard fluid
+wall clock over the 100-host one (same epoch count, a tenth of the hosts
+per epoch).  Linear per-shard cost gives about 4 (3.7-4.3 measured); the
+per-tick replica rescan this gate guards against gave about 6.8.  The
+ceiling sits midway so wall-clock noise on a busy runner does not trip
+it; the exact count of hosts scanned is gated deterministically by
+``tests/fleet/test_fleet.py::TestLinearity``.  Same-run relative, so no
+hardware tolerance applies."""
 
 TELEMETRY_MAX_OVERHEAD = 1.5
 """Ceiling on the disabled-telemetry event-loop tax (schema 5,
@@ -208,8 +220,8 @@ def check(
             failures += 1
 
     # Schema >= 4: the fleet hosts x mode wall-clock matrix, plus the
-    # same-run fluid-vs-exact speedup gate (hardware-independent for the
-    # same reason as the telemetry gate).
+    # same-run fluid-vs-exact speedup and 400-vs-100-host scaling gates
+    # (hardware-independent for the same reason as the telemetry gate).
     fresh_fleet = fresh.get("fleet", {})
     for size, cells in baseline.get("fleet", {}).get("matrix", {}).items():
         fresh_cells = fresh_fleet.get("matrix", {}).get(size, {})
@@ -231,6 +243,16 @@ def check(
         print(
             f"  [{mark}] fleet fluid_speedup (same-run): "
             f"required >= {FLUID_MIN_SPEEDUP}, now {fluid_speedup:g}"
+        )
+        if bad:
+            failures += 1
+    fluid_scaling = fresh_fleet.get("fluid_scaling")
+    if fluid_scaling is not None:
+        bad = fluid_scaling > FLUID_MAX_SCALING
+        mark = "FAIL" if bad else "ok"
+        print(
+            f"  [{mark}] fleet fluid_scaling (same-run): "
+            f"required <= {FLUID_MAX_SCALING}, now {fluid_scaling:g}"
         )
         if bad:
             failures += 1
@@ -312,6 +334,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
             fleet = merged.setdefault("fleet", {})
             fleet.setdefault("matrix", {}).update(fresh["fleet"]["matrix"])
             fleet["fluid_speedup"] = fresh["fleet"]["fluid_speedup"]
+            fleet["fluid_scaling"] = fresh["fleet"]["fluid_scaling"]
         tmp = BENCH_PATH.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")

@@ -83,6 +83,11 @@ class Cluster:
                 streams=streams.spawn("spare"),
                 **host_kwargs,
             )
+        # (vm name, service name) -> first replica in services() order;
+        # None until the next replica() call after a membership change.
+        self._replicas: dict[tuple[str, str], Service] | None = None
+        for member in self._members():
+            member.membership_listener = self._invalidate_replicas
 
     @property
     def size(self) -> int:
@@ -107,10 +112,14 @@ class Cluster:
             return self.spare
         raise ClusterError(f"no host named {name!r}")
 
+    def _members(self) -> list[Host]:
+        """Every host in scan order: the fleet in order, the spare last."""
+        return self.hosts + ([self.spare] if self.spare else [])
+
     def services(self, service_name: str | None = None) -> list[Service]:
         """Every replica of the (or any) service across live hosts."""
         replicas: list[Service] = []
-        for host in self.hosts + ([self.spare] if self.spare else []):
+        for host in self._members():
             if host.vmm is None:
                 continue
             for domain in list(host.vmm.domus):
@@ -121,6 +130,48 @@ class Cluster:
                     if service_name is None or service.name == service_name:
                         replicas.append(service)
         return replicas
+
+    def _invalidate_replicas(self) -> None:
+        self._replicas = None
+
+    def replica(self, vm_name: str, service_name: str) -> Service | None:
+        """The replica of ``service_name`` running in VM ``vm_name``.
+
+        Exactly the first :meth:`services` entry whose ``guest`` is named
+        ``vm_name`` (hosts in order, the spare last), or ``None`` when no
+        live host runs it — e.g. while the VM is mid-reboot.  Served from
+        an index rebuilt by one :meth:`services` scan after each
+        membership change the hosts signal (domain create/destroy, a new
+        hypervisor instance, guest rebinds, service starts), so a lookup
+        costs O(1) instead of O(hosts × domains).  Under the runtime
+        sanitizer every answer is cross-checked against that scan.
+        """
+        index = self._replicas
+        if index is None:
+            index = self._replicas = {}
+            for service in self.services():
+                guest = service.guest
+                if guest is not None:
+                    index.setdefault((guest.name, service.name), service)
+        found = index.get((vm_name, service_name))
+        if self.sim.sanitizer is not None:
+            expected = next(
+                (
+                    candidate
+                    for candidate in self.services(service_name)
+                    if candidate.guest is not None
+                    and candidate.guest.name == vm_name
+                ),
+                None,
+            )
+            if found is not expected:
+                raise ClusterError(
+                    f"replica index for VM {vm_name!r} service "
+                    f"{service_name!r} returned {found!r}, but a services() "
+                    f"scan finds {expected!r}: a membership change was "
+                    "not signalled"
+                )
+        return found
 
 
 class LoadBalancer:

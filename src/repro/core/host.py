@@ -78,6 +78,8 @@ class Host:
         self.vmm: Hypervisor | None = None
         self.generation = 0
         self.started = False
+        # Wired up by an owning cluster; see membership_changed().
+        self.membership_listener: typing.Callable[[], None] | None = None
 
     # -- configuration ------------------------------------------------------------
 
@@ -135,6 +137,13 @@ class Host:
     def vm_count(self) -> int:
         return len(self.vm_specs)
 
+    def membership_changed(self) -> None:
+        """Signal that the services this host runs may have changed: a new
+        hypervisor instance, or any change its hypervisor signals."""
+        listener = self.membership_listener
+        if listener is not None:
+            listener()
+
     # -- bring-up ----------------------------------------------------------------------
 
     def start(self) -> typing.Generator:
@@ -156,6 +165,8 @@ class Host:
             faults=self.faults,
             generation=self.generation,
         )
+        self.vmm.membership_listener = self.membership_changed
+        self.membership_changed()
         yield from self.vmm.boot()
         return self.vmm
 

@@ -88,6 +88,7 @@ class GuestKernel:
         self.vmm = vmm
         self.domain = domain
         domain.guest = self
+        vmm.membership_changed()
 
     def _require_bound(self) -> tuple["Hypervisor", "Domain"]:
         if self.vmm is None or self.domain is None:

@@ -60,11 +60,18 @@ class Service:
 
     # -- lifecycle ----------------------------------------------------------------
 
+    def _attach(self, guest: "GuestKernel") -> None:
+        """Run inside ``guest`` from now on.  Replica lookups match on
+        ``service.guest``, so the hosting hypervisor hears of it."""
+        vmm, _ = guest._require_bound()
+        self.guest = guest
+        vmm.membership_changed()
+
     def start(self, guest: "GuestKernel") -> typing.Generator:
         """Start inside ``guest``; charges disk then CPU phases."""
         if self.state is not ServiceState.STOPPED:
             raise ServiceError(f"{self.name} cannot start from {self.state.value}")
-        self.guest = guest
+        self._attach(guest)
         self.state = ServiceState.STARTING
         machine = guest.machine
         if self.read_bytes:
@@ -127,7 +134,7 @@ class Service:
                 f"checkpoint of kind {state.get('kind')!r} does not fit "
                 f"{self.kind!r}"
             )
-        self.guest = guest
+        self._attach(guest)
         self.state = ServiceState.STARTING
         costs = guest.profile.services
         machine = guest.machine

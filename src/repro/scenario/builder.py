@@ -311,10 +311,10 @@ class ScenarioBuilder:
     ) -> typing.Callable[[], typing.Any]:
         """A per-request service resolver for one VM.
 
-        Cluster resolution is memoized while the hit stays reachable —
-        after a cold reboot the service object is new, after a migration
-        it lives on another host (possibly the spare), and a full cluster
-        scan per request would dominate the whole experiment.
+        Cluster resolution is memoized while the hit stays reachable;
+        misses go to :meth:`~repro.cluster.Cluster.replica`, which follows
+        the VM across cold reboots (a new service object) and migrations
+        (another host, possibly the spare) without rescanning the cluster.
         """
         cluster = built.cluster
         if cluster is None:
@@ -334,11 +334,11 @@ class ScenarioBuilder:
                 and cached.guest.name == vm_name
             ):
                 return cached
-            for candidate in cluster.services(service):
-                if candidate.guest is not None and candidate.guest.name == vm_name:
-                    cache[0] = candidate
-                    return candidate
-            raise ReproError(f"{vm_name} has no live {service} replica")
+            found = cluster.replica(vm_name, service)
+            if found is None:
+                raise ReproError(f"{vm_name} has no live {service} replica")
+            cache[0] = found
+            return found
 
         return cluster_lookup
 

@@ -90,6 +90,8 @@ class Hypervisor:
         self._domids = itertools.count(0)
         self._domain_heap: dict[str, typing.Any] = {}
         self._domain_list_cache: list[Domain] | None = None
+        # Wired up by the owning host; see membership_changed().
+        self.membership_listener: typing.Callable[[], None] | None = None
 
     # -- small helpers -----------------------------------------------------------
 
@@ -98,6 +100,13 @@ class Hypervisor:
 
     def _duration(self, stream: str, base: float) -> float:
         return self.machine.duration(stream, base)
+
+    def membership_changed(self) -> None:
+        """Signal that the domains, their guests or the guests' services
+        changed, so owners caching a replica index must rebuild it."""
+        listener = self.membership_listener
+        if listener is not None:
+            listener()
 
     def require_running(self) -> None:
         """Raise unless this VMM instance is alive and well."""
@@ -297,6 +306,7 @@ class Hypervisor:
         domain.transition(DomainState.DEAD)
         del self.domains[name]
         self._domain_list_cache = None
+        self.membership_changed()
         self._trace("vmm.domain.destroyed", domain=name)
 
     def balloon_for(self, name: str) -> Balloon:

@@ -455,48 +455,67 @@ class FluidHttperf:
             if overlap > 0:
                 yield i, overlap
 
+    def _window(self, since: float, until: float) -> dict[str, float]:
+        """Every windowed statistic from one :meth:`_overlaps` walk.
+
+        Requests, failures and downtime are ``sum()`` over their terms in
+        tick order; mean rate and availability divide running totals.
+        """
+        rates = self._tick_rate
+        fails = self._tick_fail
+        ups = self._tick_up
+        done_terms: list[float] = []
+        fail_terms: list[float] = []
+        down_terms: list[float] = []
+        total = 0.0
+        done = 0.0
+        down = 0.0
+        for i, overlap in self._overlaps(since, until):
+            served = rates[i] * overlap
+            done_terms.append(served)
+            fail_terms.append(fails[i] * overlap)
+            total += overlap
+            done += served
+            if not ups[i]:
+                down_terms.append(overlap)
+                down += overlap
+        return {
+            "requests": sum(done_terms),
+            "failures": sum(fail_terms),
+            "mean_rate": done / total if total > 0 else 0.0,
+            "downtime_s": sum(down_terms),
+            "availability": 1.0 - down / total if total > 0 else 1.0,
+        }
+
     def requests(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Modeled completions inside a window."""
-        return sum(self._tick_rate[i] * ov for i, ov in self._overlaps(since, until))
+        return self._window(since, until)["requests"]
 
     def failures_in(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Modeled failed requests inside a window."""
-        return sum(self._tick_fail[i] * ov for i, ov in self._overlaps(since, until))
+        return self._window(since, until)["failures"]
 
     def downtime(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Seconds inside a window the service was unreachable."""
-        return sum(
-            ov for i, ov in self._overlaps(since, until) if not self._tick_up[i]
-        )
+        return self._window(since, until)["downtime_s"]
 
     def availability(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Reachable fraction of the accounted window (1.0 if empty)."""
-        total = 0.0
-        down = 0.0
-        for i, overlap in self._overlaps(since, until):
-            total += overlap
-            if not self._tick_up[i]:
-                down += overlap
-        return 1.0 - down / total if total > 0 else 1.0
+        return self._window(since, until)["availability"]
 
     def mean_rate(
         self, since: float = float("-inf"), until: float = float("inf")
     ) -> float:
         """Mean completions/second over a window (downtime included)."""
-        total = 0.0
-        done = 0.0
-        for i, overlap in self._overlaps(since, until):
-            total += overlap
-            done += self._tick_rate[i] * overlap
-        return done / total if total > 0 else 0.0
+        return self._window(since, until)["mean_rate"]
 
     def throughput_timeline(self) -> list[tuple[float, float]]:
         """Per-tick (end time, req/s) points — the fluid Figure 7 series."""
@@ -504,13 +523,7 @@ class FluidHttperf:
 
     def window_summary(self, since: float, until: float) -> dict[str, float]:
         """The cross-validation row for one observation window."""
-        return {
-            "requests": self.requests(since, until),
-            "failures": self.failures_in(since, until),
-            "mean_rate": self.mean_rate(since, until),
-            "downtime_s": self.downtime(since, until),
-            "availability": self.availability(since, until),
-        }
+        return self._window(since, until)
 
 
 class FluidCoordinator:

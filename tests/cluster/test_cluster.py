@@ -7,9 +7,13 @@ from repro.cluster import (
     LoadBalancer,
     MigrationRejuvenator,
     RollingRejuvenator,
+    live_migrate,
 )
 from repro.config import small_testbed
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ReproError
+from repro.guest.services import Service
+from repro.scenario import HostSpec, ScenarioSpec, VMSpec, WorkloadSpec
+from repro.scenario import build_scenario
 from repro.simkernel import Simulator
 
 
@@ -54,6 +58,131 @@ class TestCluster:
     def test_hosts_have_independent_hardware(self, sim):
         cluster = started_cluster(sim)
         assert cluster.host("host0").machine is not cluster.host("host1").machine
+
+
+def scan_first(cluster, vm_name, service_name):
+    """The brute-force resolution the replica index replaces: the first
+    services() entry whose guest is ``vm_name``."""
+    for candidate in cluster.services(service_name):
+        if candidate.guest is not None and candidate.guest.name == vm_name:
+            return candidate
+    return None
+
+
+def resolve_through(cluster, proc, vm_name, service_name, step_s=0.5):
+    """Step ``proc`` to completion, checking ``replica`` against the scan
+    at every step; returns the distinct answers in the order seen."""
+    sim = cluster.sim
+    seen = []
+    while True:
+        found = cluster.replica(vm_name, service_name)
+        assert found is scan_first(cluster, vm_name, service_name)
+        if not seen or seen[-1] is not found:
+            seen.append(found)
+        if not proc.is_alive:
+            return seen
+        sim.run(until=sim.now + step_s)
+
+
+class TestReplicaIndex:
+    """``Cluster.replica`` returns exactly the scan's first match through
+    every path that changes where a service lives."""
+
+    def test_warm_reboot_keeps_the_same_object(self, sim):
+        cluster = started_cluster(sim, size=2)
+        before = cluster.replica("host0-vm0", "sshd")
+        proc = sim.spawn(cluster.host("host0").reboot("warm"))
+        seen = resolve_through(cluster, proc, "host0-vm0", "sshd")
+        assert seen == [before, None, before]
+
+    def test_cold_reboot_resolves_the_new_service_object(self, sim):
+        cluster = started_cluster(sim, size=2)
+        before = cluster.replica("host0-vm0", "sshd")
+        proc = sim.spawn(cluster.host("host0").reboot("cold"))
+        first, gap, after = resolve_through(cluster, proc, "host0-vm0", "sshd")
+        assert (first, gap) == (before, None)
+        assert after is not before and after.is_up
+
+    def test_checkpoint_boot_resolves_the_restored_service(self, sim):
+        cluster = started_cluster(sim, size=2)
+        before = cluster.replica("host1-vm0", "sshd")
+        proc = sim.spawn(
+            cluster.host("host1").reboot_guest(
+                "host1-vm0", checkpoint_processes=True
+            )
+        )
+        first, gap, after = resolve_through(cluster, proc, "host1-vm0", "sshd")
+        assert (first, gap) == (before, None)
+        assert after is not before and after.restored_from_checkpoint
+
+    def test_live_migration_follows_the_vm_to_the_spare(self, sim):
+        cluster = started_cluster(sim, size=2, spare=True)
+        before = cluster.replica("host0-vm0", "sshd")
+        proc = sim.spawn(
+            live_migrate(cluster.host("host0"), cluster.spare, "host0-vm0")
+        )
+        assert resolve_through(cluster, proc, "host0-vm0", "sshd") == [before]
+        assert before.guest.vmm is cluster.spare.vmm
+        assert cluster.host("host0").require_vmm().domus == []
+
+    def test_rebind_alone_invalidates(self, sim):
+        """A guest adopted by an already-registered domain is visible at
+        once: ``rebind`` is the only signal between the two lookups."""
+        cluster = started_cluster(sim, size=1, spare=True)
+        source, spare = cluster.host("host0"), cluster.spare
+        service = cluster.replica("host0-vm0", "sshd")
+        guest = service.guest
+        domain = sim.run(
+            sim.spawn(
+                spare.require_vmm().create_domain(
+                    "host0-vm0", guest.memory_bytes
+                )
+            )
+        )
+        guest.mark_dead()
+        source.require_vmm().destroy_domain("host0-vm0")
+        assert cluster.replica("host0-vm0", "sshd") is None
+        guest.rebind(spare.require_vmm(), domain)
+        assert cluster.replica("host0-vm0", "sshd") is service
+        assert scan_first(cluster, "host0-vm0", "sshd") is service
+
+    def test_absent_vm_resolves_to_none_and_the_lookup_raises(self):
+        built = build_scenario(
+            ScenarioSpec(
+                name="replica-absent",
+                hosts=(HostSpec(count=2, vms=(VMSpec(services=("ssh",)),)),),
+                workloads=(
+                    WorkloadSpec(kind="prober", vm="host0-vm0", service="ssh"),
+                ),
+            )
+        )
+        cluster = built.cluster
+        lookup = built.workloads[0].client.lookup
+        assert cluster.replica("nope", "sshd") is None
+        assert lookup() is cluster.replica("host0-vm0", "sshd")
+        host = cluster.host("host0")
+        host.guest("host0-vm0").mark_dead()
+        host.require_vmm().destroy_domain("host0-vm0")
+        assert cluster.replica("host0-vm0", "sshd") is None
+        assert scan_first(cluster, "host0-vm0", "sshd") is None
+        with pytest.raises(ReproError, match="no live sshd replica"):
+            lookup()
+
+    def test_sanitizer_catches_a_missed_invalidation(self, monkeypatch):
+        """Planted defect: Service.start stops signalling its new guest,
+        so the index still misses the restarted service; the sanitizer's
+        cross-check must name the mismatch."""
+
+        def attach_silently(service, guest):
+            service.guest = guest
+
+        sim = Simulator(sanitize=True)
+        cluster = started_cluster(sim, size=2)
+        monkeypatch.setattr(Service, "_attach", attach_silently)
+        proc = sim.spawn(cluster.host("host0").reboot("cold"))
+        mismatch = "host0-vm0.*sshd.*not signalled"
+        with pytest.raises(ClusterError, match=mismatch):
+            resolve_through(cluster, proc, "host0-vm0", "sshd")
 
 
 class TestLoadBalancer:

@@ -233,6 +233,58 @@ class TestMerge:
         assert len({cell.digest(False) for cell in cells}) == 3
 
 
+class TestLinearity:
+    """Replica resolution must cost O(hosts) per fleet, not O(hosts²).
+
+    Counts the hosts ``Cluster.services`` visits (the same quantity as
+    perfbench's ``cluster.hosts_scanned``) over a fluid fleet in which
+    every host reboots once, at two sizes with the same epoch count.  A
+    per-miss rescan grows 16x for 4x hosts; the replica index rebuilds a
+    constant number of times, so the scan work grows 4x.  Deterministic
+    and machine-independent: a count, not a wall clock.
+    """
+
+    MAX_RATIO = 4.5
+
+    @staticmethod
+    def _hosts_scanned(hosts: int, monkeypatch) -> int:
+        from repro.cluster import Cluster
+
+        scanned = [0]
+        scan = Cluster.services
+
+        def counting(self, service_name=None):
+            scanned[0] += sum(
+                1 for host in self._members() if host.vmm is not None
+            )
+            return scan(self, service_name)
+
+        monkeypatch.setattr(Cluster, "services", counting)
+        spec = _fleet(
+            name=f"linear-{hosts}",
+            shards=1,
+            hosts=[
+                {"count": hosts, "vms": [{"count": 1, "services": ["apache"]}]}
+            ],
+            hosts_per_epoch=hosts // 10,
+            warmup_s=120.0,
+            observe_s=600.0,
+        )
+        report = run_fleet(spec, jobs=1)
+        # every host's client saw its reboot outage inside the window
+        assert len(report.rows) == hosts
+        assert all(row["downtime_s"] > 0 for row in report.rows)
+        return scanned[0]
+
+    def test_hosts_scanned_grow_linearly(self, monkeypatch):
+        # The runtime sanitizer cross-checks every replica lookup with a
+        # deliberate full scan; measure the production path without it.
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        small = self._hosts_scanned(20, monkeypatch)
+        large = self._hosts_scanned(80, monkeypatch)
+        assert large / small <= self.MAX_RATIO, (small, large)
+
+
 class TestCli:
     def _write(self, tmp_path, body):
         path = tmp_path / "fleet.toml"

@@ -2,7 +2,12 @@
 
 import pytest
 
-from benchmarks.perf_report import REGRESSION_SLACK, check, default_tolerance
+from benchmarks.perf_report import (
+    FLUID_MAX_SCALING,
+    REGRESSION_SLACK,
+    check,
+    default_tolerance,
+)
 
 
 class TestDefaultTolerance:
@@ -109,3 +114,28 @@ class TestTelemetryOverheadGate:
         baseline = {"kernel": {"telemetry": {"overhead_ratio": 1.05}},
                     "experiments_s": {}}
         assert check(self._fresh(1.4), baseline) == 0
+
+
+class TestFluidScalingGate:
+    """Same-run linearity gate: 400-host over 100-host fluid wall clock."""
+
+    @staticmethod
+    def _fresh(scaling):
+        return {
+            "kernel": {},
+            "fleet": {"matrix": {}, "fluid_scaling": scaling},
+            "experiments_s": {},
+        }
+
+    def test_linear_scaling_passes(self, capsys):
+        assert check(self._fresh(4.0), {}) == 0
+        assert "[ok] fleet fluid_scaling" in capsys.readouterr().out
+
+    def test_superlinear_scaling_fails_regardless_of_tolerance(self, capsys):
+        # Both cells ran seconds apart on the same machine, so the
+        # hardware tolerance must not widen the ceiling.
+        assert check(self._fresh(7.1), {}, tolerance=10.0) == 1
+        assert "[FAIL] fleet fluid_scaling" in capsys.readouterr().out
+
+    def test_ceiling_is_inclusive(self, capsys):
+        assert check(self._fresh(FLUID_MAX_SCALING), {}) == 0
