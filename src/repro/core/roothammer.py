@@ -186,6 +186,8 @@ class RootHammerHypervisor(Hypervisor):
                     vcpus=config["vcpus"],
                 )
                 domain.p2m = P2MTable.from_snapshot(name, image.p2m_snapshot)
+                if self.sim.sanitizer is not None:
+                    self.check_p2m_agreement(name, domain.p2m.machine_extents())
                 self._register_domain(domain, bind_channels=False)
                 self.event_channels.restore_domain(
                     image.execution_state["event_channels"]
@@ -212,14 +214,24 @@ class RootHammerHypervisor(Hypervisor):
 
     def verify_no_preserved_overlap(self) -> None:
         """Invariant check: preserved images must map disjoint frames and
-        the allocator must charge them to their owners."""
-        seen: set[int] = set()
-        for image in self.machine.preserved.images():
-            p2m = P2MTable.from_snapshot(image.domain_name, image.p2m_snapshot)
-            for extent in p2m.machine_extents():
-                for mfn in extent:
-                    if mfn in seen:
-                        raise RejuvenationError(
-                            f"preserved images overlap at MFN {mfn}"
-                        )
-                    seen.add(mfn)
+        the allocator must charge them to their owners.
+
+        One sweep over every image's machine extents in MFN order: an
+        extent starting below the furthest end seen so far overlaps an
+        earlier one, and its start is the lowest frame they share.
+        """
+        by_image = {
+            image.domain_name: P2MTable.from_snapshot(
+                image.domain_name, image.p2m_snapshot
+            ).machine_extents()
+            for image in self.machine.preserved.images()
+        }
+        reach = 0
+        for extent in sorted(e for extents in by_image.values() for e in extents):
+            if extent.start < reach:
+                raise RejuvenationError(
+                    f"preserved images overlap at MFN {extent.start}"
+                )
+            reach = max(reach, extent.end)
+        for name, extents in by_image.items():
+            self.check_p2m_agreement(name, extents)

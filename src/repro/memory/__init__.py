@@ -8,9 +8,9 @@ preserved-image store.
 
 from repro.memory.allocator import FrameAllocator
 from repro.memory.ballooning import Balloon
-from repro.memory.frames import Extent, MachineMemory
+from repro.memory.frames import Extent, MachineMemory, coalesce
 from repro.memory.heap import HeapAllocation, VmmHeap
-from repro.memory.p2m import P2MTable, table_bytes_for
+from repro.memory.p2m import P2MRun, P2MSnapshot, P2MTable, table_bytes_for
 from repro.memory.preserved import PreservedStore, SuspendImage
 
 __all__ = [
@@ -19,9 +19,12 @@ __all__ = [
     "FrameAllocator",
     "HeapAllocation",
     "MachineMemory",
+    "P2MRun",
+    "P2MSnapshot",
     "P2MTable",
     "PreservedStore",
     "SuspendImage",
     "VmmHeap",
+    "coalesce",
     "table_bytes_for",
 ]

@@ -55,6 +55,22 @@ class Extent:
         return f"Extent({self.start}..{self.end - 1}, {self.npages}p)"
 
 
+def coalesce(pieces: typing.Iterable[tuple[int, int]]) -> list[Extent]:
+    """Merge start-sorted, disjoint ``(start, npages)`` frame runs into
+    maximal extents (adjacent runs join; gaps split)."""
+    extents: list[Extent] = []
+    start = end = -1
+    for first, npages in pieces:
+        if first != end:
+            if end >= 0:
+                extents.append(Extent(start, end - start))
+            start = first
+        end = first + npages
+    if end >= 0:
+        extents.append(Extent(start, end - start))
+    return extents
+
+
 class MachineMemory:
     """All machine frames of one physical machine, with content sentinels.
 

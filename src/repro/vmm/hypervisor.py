@@ -28,11 +28,12 @@ from repro.config import TimingProfile
 from repro.errors import (
     DomainError,
     HypercallError,
+    P2MError,
     VMMCrashed,
     VMMError,
 )
 from repro.hardware.machine import PhysicalMachine
-from repro.memory import Balloon, FrameAllocator, VmmHeap
+from repro.memory import Balloon, Extent, FrameAllocator, VmmHeap, coalesce
 from repro.simkernel import Resource
 from repro.units import GiB, KiB, MiB, pages
 from repro.vmm.domain import Domain, DomainState
@@ -248,6 +249,30 @@ class Hypervisor:
         for extent in extents:
             domain.p2m.map_extent(pfn, extent)
             pfn += extent.npages
+        if self.sim.sanitizer is not None:
+            self.check_p2m_agreement(domain.name, domain.p2m.machine_extents())
+
+    def check_p2m_agreement(self, name: str, mapped: list[Extent]) -> None:
+        """Raise :class:`P2MError` unless ``mapped`` — the machine extents
+        of ``name``'s P2M table — is exactly what the allocator charges to
+        ``name``, both coalesced.
+
+        Runs under the runtime sanitizer once a domain's memory is built
+        and once an on-memory resume adopts a preserved table; RootHammer's
+        preserved-image check runs it on every image.
+        """
+        owned = coalesce(
+            (extent.start, extent.npages)
+            for extent in self.allocator.owned_by(name)
+        )
+        if mapped == owned:
+            return
+        for in_p2m, in_allocator in itertools.zip_longest(mapped, owned):
+            if in_p2m != in_allocator:
+                raise P2MError(
+                    f"domain {name!r}: P2M table and allocator disagree at "
+                    f"{in_p2m!r} (P2M) vs {in_allocator!r} (allocator)"
+                )
 
     def _register_domain(self, domain: Domain, bind_channels: bool = True) -> None:
         """Heap, xenstore and event-channel bookkeeping for a new domain.
@@ -461,8 +486,10 @@ class Hypervisor:
         """Snapshot the domain's memory-content sentinels, keyed by PFN.
 
         Content sentinels are sparse, so only the written frames are
-        reverse-translated (vectorized in the P2M table) instead of
-        building a full MFN→PFN map of the whole domain per save.
+        reverse-translated (a bisect over the P2M table's runs per frame)
+        instead of building a full MFN→PFN map of the whole domain per
+        save.  The P2M answers in ascending PFN order, which fixes the
+        order of the returned dict and of the restore's rewrites.
         """
         written = self.machine.memory._tokens
         if not written:
@@ -476,7 +503,8 @@ class Hypervisor:
     def write_domain_tokens(
         self, domain: Domain, tokens_by_pfn: dict[int, typing.Any]
     ) -> None:
-        """Rewrite content sentinels into a (re)built domain's frames."""
+        """Rewrite content sentinels into a (re)built domain's frames, in
+        the ascending-PFN order :meth:`collect_domain_tokens` saved them."""
         for pfn, token in tokens_by_pfn.items():
             self.machine.memory.write_token(domain.p2m.mfn_of(pfn), token)
 

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.config import paper_testbed
-from repro.errors import DomainError, HypercallError
+from repro.errors import DomainError, HypercallError, P2MError, RejuvenationError
 from repro.guest import GuestState
+from repro.memory import P2MRun, P2MSnapshot, SuspendImage
+from repro.simkernel import Simulator
 from repro.units import GiB, gib, pages
 from repro.vmm import DOM0_NAME, DomainState
 
@@ -108,6 +110,25 @@ class TestQuickReloadBootPath:
         assert new_vmm.allocator.pages_of("vm1") == pages(gib(1))
         new_vmm.verify_no_preserved_overlap()
 
+    def test_overlapping_images_rejected(self, sim, host):
+        new_vmm = self._suspend_and_reload(sim, host)
+        # Two more images sharing frames 108..109 (and nothing else).
+        for name, runs in (
+            ("ghost-a", (P2MRun(0, 100, 10),)),
+            ("ghost-b", (P2MRun(0, 120, 4), P2MRun(4, 108, 2))),
+        ):
+            host.machine.preserved.save(_crafted_image(name, runs))
+        with pytest.raises(RejuvenationError, match="overlap at MFN 108$"):
+            new_vmm.verify_no_preserved_overlap()
+
+    def test_unowned_image_rejected(self, sim, host):
+        new_vmm = self._suspend_and_reload(sim, host)
+        host.machine.preserved.save(
+            _crafted_image("ghost", (P2MRun(0, 100, 10),))
+        )
+        with pytest.raises(P2MError, match="'ghost': P2M table and allocator disagree"):
+            new_vmm.verify_no_preserved_overlap()
+
     def test_successor_scrub_skips_preserved_memory(self, sim, host):
         guest = host.guest("vm0")
         mfn = guest.domain.p2m.mfn_of(0)
@@ -178,6 +199,30 @@ class TestOnMemoryResume:
         sim.run()
         assert not proc.ok
 
+    def test_resume_checks_p2m_agreement_under_sanitizer(self):
+        sim = Simulator(sanitize=True)
+        host = build_started_host(sim, n_vms=2)
+        vmm = host.vmm
+        sim.run(sim.spawn(vmm.suspend_all_domus()))
+        sim.run(sim.spawn(vmm.shutdown()))
+        sim.run(sim.spawn(host.machine.quick_reload_window()))
+        sim.run(sim.spawn(host.boot_vmm_instance()))
+        host.vmm.create_dom0()
+        # Plant a defect after the reload reserved vm1's frames: its
+        # preserved table loses the last page of its last run.
+        image = host.machine.preserved.load("vm1")
+        *head, last = image.p2m_snapshot.runs
+        image.p2m_snapshot = P2MSnapshot(
+            image.p2m_snapshot.pages,
+            (*head, last._replace(npages=last.npages - 1)),
+        )
+        sim.run(sim.spawn(host.vmm.resume_domain_on_memory("vm0")))
+        proc = sim.spawn(host.vmm.resume_domain_on_memory("vm1"))
+        proc.defuse()
+        sim.run()
+        assert isinstance(proc.value, P2MError)
+        assert "domain 'vm1': P2M table and allocator disagree" in str(proc.value)
+
     def test_resume_serialized_by_toolstack(self, sim):
         host = build_started_host(sim, n_vms=4)
         vmm = host.vmm
@@ -191,3 +236,12 @@ class TestOnMemoryResume:
         per_vm = (sim.now - t0) / 4
         # ~0.25 create + 0.055/GiB + 0.1 devices + handler ~= 0.43 each.
         assert 0.3 <= per_vm <= 0.6
+
+
+def _crafted_image(name, runs):
+    return SuspendImage(
+        domain_name=name,
+        p2m_snapshot=P2MSnapshot(16, runs),
+        execution_state={},
+        configuration={},
+    )

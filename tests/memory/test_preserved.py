@@ -1,19 +1,18 @@
 """Unit tests for the reboot-surviving preserved-image store."""
 
-import numpy as np
 import pytest
 
 from repro.errors import MemoryError_
-from repro.memory import PreservedStore, SuspendImage
+from repro.memory import Extent, P2MTable, PreservedStore, SuspendImage
 from repro.units import KiB, MiB
 
 
 def make_image(name="dom1", npages=256):
-    snapshot = np.arange(npages, dtype=np.int64)
-    snapshot.setflags(write=False)
+    p2m = P2MTable(name, npages)
+    p2m.map_extent(0, Extent(0, npages))
     return SuspendImage(
         domain_name=name,
-        p2m_snapshot=snapshot,
+        p2m_snapshot=p2m.snapshot(),
         execution_state={"pc": 0xdeadbeef, "event_channels": {1: "up"}},
         configuration={"memory_bytes": npages * 4096, "devices": ["vbd", "vif"]},
     )

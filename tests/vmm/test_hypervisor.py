@@ -8,10 +8,12 @@ from repro.config import paper_testbed, small_testbed
 from repro.errors import (
     DomainError,
     HypercallError,
+    P2MError,
     VMMCrashed,
     VMMError,
 )
 from repro.hardware import PhysicalMachine
+from repro.memory import P2MTable
 from repro.simkernel import Simulator
 from repro.units import gib, mib, pages
 from repro.vmm import DOM0_NAME, DomainState, Hypervisor, VmmState
@@ -139,6 +141,47 @@ class TestDomainLifecycle:
         result = vmm.hypercall("memory_op", domain, target_pages=target)
         assert result == target
         assert vmm.allocator.pages_of("vm1") == target
+
+
+class TestP2MAgreement:
+    """Under the runtime sanitizer a new domain's P2M table must map
+    exactly the frames the allocator charged to it."""
+
+    @staticmethod
+    def _skip_map_for(monkeypatch, victim):
+        real = P2MTable.map_extent
+
+        def map_extent(self, pfn_start, extent):
+            if self.domain_name != victim:
+                real(self, pfn_start, extent)
+
+        monkeypatch.setattr(P2MTable, "map_extent", map_extent)
+
+    def test_clean_create_passes(self):
+        sim = Simulator(sanitize=True)
+        vmm = booted_vmm(sim)
+        domain = sim.run(sim.spawn(vmm.create_domain("vm1", gib(1))))
+        assert domain.p2m.mapped_pages == pages(gib(1))
+
+    def test_planted_missing_map_fires(self, monkeypatch):
+        sim = Simulator(sanitize=True)
+        vmm = booted_vmm(sim)
+        self._skip_map_for(monkeypatch, "vm1")
+        proc = sim.spawn(vmm.create_domain("vm1", gib(1)))
+        proc.defuse()
+        sim.run()
+        assert isinstance(proc.value, P2MError)
+        message = str(proc.value)
+        assert "'vm1'" in message
+        owned = vmm.allocator.owned_by("vm1")
+        assert repr(owned[0]) in message  # the first differing extent
+
+    def test_not_checked_without_sanitizer(self, monkeypatch):
+        sim = Simulator(sanitize=False)
+        vmm = booted_vmm(sim)
+        self._skip_map_for(monkeypatch, "vm1")
+        domain = sim.run(sim.spawn(vmm.create_domain("vm1", gib(1))))
+        assert domain.p2m.mapped_pages == 0
 
 
 class TestHypercalls:
