@@ -82,6 +82,11 @@ class FilesystemError(GuestError):
     """A guest filesystem operation referenced a missing file or block."""
 
 
+class WorkloadError(ReproError):
+    """A workload client's cached model state or accounting failed a
+    runtime consistency check."""
+
+
 class RejuvenationError(ReproError):
     """A rejuvenation operation (warm/saved/cold reboot) failed."""
 

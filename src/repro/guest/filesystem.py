@@ -9,13 +9,18 @@ the filesystem only answers "does this file exist and how big is it".
 from __future__ import annotations
 
 from repro.errors import FilesystemError
+from repro.simkernel.signals import ChangeSignal
 
 
 class Filesystem:
-    """Name → size catalogue for one guest's virtual disk."""
+    """Name → size catalogue for one guest's virtual disk.
+
+    ``changed`` fires when a file is created, resized or removed.
+    """
 
     def __init__(self) -> None:
         self._files: dict[str, int] = {}
+        self.changed = ChangeSignal()
 
     def create(self, path: str, nbytes: int) -> None:
         """Add (or resize) a file at ``path``."""
@@ -24,6 +29,7 @@ class Filesystem:
         if not path or not path.startswith("/"):
             raise FilesystemError(f"bad path {path!r}")
         self._files[path] = nbytes
+        self.changed.fire()
 
     def create_many(self, prefix: str, count: int, nbytes: int) -> list[str]:
         """Create ``count`` equal-size files (the 10 000×512 KB web corpus)."""
@@ -48,6 +54,7 @@ class Filesystem:
         if path not in self._files:
             raise FilesystemError(f"no such file {path!r}")
         del self._files[path]
+        self.changed.fire()
 
     def paths(self) -> list[str]:
         """All file paths, sorted."""

@@ -26,6 +26,7 @@ from repro.errors import GuestError
 from repro.guest.filesystem import Filesystem
 from repro.guest.page_cache import PageCache
 from repro.guest.services import Service
+from repro.simkernel.signals import ChangeSignal
 from repro.units import MiB
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -53,7 +54,11 @@ class GuestState(enum.Enum):
 
 
 class GuestKernel:
-    """One guest OS image (a Xen-modified Linux, in the paper)."""
+    """One guest OS image (a Xen-modified Linux, in the paper).
+
+    ``changed`` fires on every state transition and on every rebind to a
+    hypervisor's domain.
+    """
 
     def __init__(
         self,
@@ -80,6 +85,11 @@ class GuestKernel:
         self.boot_epoch = 0
         self._sentinel_token: typing.Any = None
         self._grant_refs: list[int] = []
+        self.changed = ChangeSignal()
+
+    def _enter(self, state: GuestState) -> None:
+        self.state = state
+        self.changed.fire()
 
     # -- bindings ---------------------------------------------------------------
 
@@ -88,6 +98,7 @@ class GuestKernel:
         self.vmm = vmm
         self.domain = domain
         domain.guest = self
+        self.changed.fire()
         vmm.membership_changed()
 
     def _require_bound(self) -> tuple["Hypervisor", "Domain"]:
@@ -189,7 +200,7 @@ class GuestKernel:
         machine = self.machine
         guest_spec = self.profile.guest
         sim = self.sim
-        self.state = GuestState.BOOTING
+        self._enter(GuestState.BOOTING)
         self.boot_epoch = next(_boot_epochs)
         # guests boot concurrently: own actor track, causal parent is the
         # host's enclosing reboot/maintenance span when one is open
@@ -211,7 +222,7 @@ class GuestKernel:
             self.establish_grants()
             for service in self.services:
                 yield from service.start(self)
-            self.state = GuestState.RUNNING
+            self._enter(GuestState.RUNNING)
             sim.trace.record("guest.boot.done", domain=self.name)
         return self
 
@@ -224,7 +235,7 @@ class GuestKernel:
         machine = self.machine
         guest_spec = self.profile.guest
         sim = self.sim
-        self.state = GuestState.SHUTTING_DOWN
+        self._enter(GuestState.SHUTTING_DOWN)
         with sim.spans.span(
             "guest.shutdown",
             actor=self.name,
@@ -248,7 +259,7 @@ class GuestKernel:
                 guest_spec.shutdown_fixed_s - guest_spec.shutdown_service_stop_s,
             )
             yield sim.timeout(self.duration("shutdown.fixed", remainder))
-            self.state = GuestState.OFF
+            self._enter(GuestState.OFF)
             sim.trace.record("guest.shutdown.done", domain=self.name)
 
     # -- suspend / resume handlers (§4.2) ----------------------------------------------
@@ -280,7 +291,7 @@ class GuestKernel:
                     reason="suspend",
                 )
         self.write_sentinels()
-        self.state = GuestState.SUSPENDED
+        self._enter(GuestState.SUSPENDED)
 
     def run_resume_handler(self) -> typing.Generator:
         """The kernel's resume handler: re-establish channels, re-attach
@@ -296,7 +307,7 @@ class GuestKernel:
         domain.devices.attach_all()
         self.establish_grants()
         self.verify_memory_image()
-        self.state = GuestState.RUNNING
+        self._enter(GuestState.RUNNING)
         for service in self.services:
             if service.is_up:
                 self.sim.trace.record(
@@ -311,7 +322,7 @@ class GuestKernel:
         """The image is gone (cold reboot tore the domain down)."""
         for service in self.services:
             service.mark_stopped(reason="killed")
-        self.state = GuestState.DEAD
+        self._enter(GuestState.DEAD)
 
     # -- file I/O through the page cache ------------------------------------------------
 

@@ -17,22 +17,30 @@ from __future__ import annotations
 import collections
 
 from repro.errors import GuestError
+from repro.simkernel.signals import ChangeSignal
 
 
 class PageCache:
-    """Byte-accounted LRU cache over file contents."""
+    """Byte-accounted LRU cache over file contents.
+
+    ``changed`` fires whenever some file's cached byte count changes
+    (insert, eviction, invalidation, clear), never on a pure LRU touch.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise GuestError(f"cache capacity must be > 0, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._cached: collections.OrderedDict[str, int] = collections.OrderedDict()
+        # Running sum of ``_cached.values()``; exact, since sizes are ints.
+        self._used = 0
         self.hits_bytes = 0
         self.misses_bytes = 0
+        self.changed = ChangeSignal()
 
     @property
     def used_bytes(self) -> int:
-        return sum(self._cached.values())
+        return self._used
 
     @property
     def free_bytes(self) -> int:
@@ -57,14 +65,16 @@ class PageCache:
         needed.  Returns the bytes actually resident afterwards."""
         if nbytes < 0:
             raise GuestError(f"negative insert size {nbytes}")
-        target = min(
-            self.cached_bytes(path) + nbytes, self.capacity_bytes
-        )
+        before = self.cached_bytes(path)
+        target = min(before + nbytes, self.capacity_bytes)
         if target == 0:
             return 0
         self._cached[path] = target
         self._cached.move_to_end(path)
-        self._evict_to_fit(keep=path)
+        if target != before:
+            self._used += target - before
+            self._evict_to_fit(keep=path)
+            self.changed.fire()
         return self._cached.get(path, 0)
 
     def touch(self, path: str) -> None:
@@ -74,20 +84,28 @@ class PageCache:
 
     def invalidate(self, path: str) -> None:
         """Drop one file's cached bytes (no-op if not resident)."""
-        self._cached.pop(path, None)
+        dropped = self._cached.pop(path, 0)
+        if dropped:
+            self._used -= dropped
+            self.changed.fire()
 
     def clear(self) -> None:
         """What losing the memory image does to the cache."""
-        self._cached.clear()
+        if self._cached:
+            self._cached.clear()
+            self._used = 0
+            self.changed.fire()
 
     def _evict_to_fit(self, keep: str) -> None:
-        while self.used_bytes > self.capacity_bytes:
-            victim = next(iter(self._cached))
+        cached = self._cached
+        while self._used > self.capacity_bytes:
+            victim = next(iter(cached))
             if victim == keep:
                 # The kept file alone exceeds capacity: trim it.
-                self._cached[keep] = self.capacity_bytes
+                self._used -= cached[keep] - self.capacity_bytes
+                cached[keep] = self.capacity_bytes
                 break
-            del self._cached[victim]
+            self._used -= cached.pop(victim)
 
     def resident_files(self) -> list[str]:
         """Paths with any cached bytes, LRU-first."""

@@ -17,6 +17,7 @@ import typing
 
 from repro.config import ServiceCosts
 from repro.errors import ServiceError
+from repro.simkernel.signals import ChangeSignal
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.guest.kernel import GuestKernel
@@ -30,7 +31,11 @@ class ServiceState(enum.Enum):
 
 
 class Service:
-    """Base class: a long-running server process inside a guest."""
+    """Base class: a long-running server process inside a guest.
+
+    ``changed`` fires on every state transition and when the service
+    moves into another guest.
+    """
 
     kind = "generic"
 
@@ -43,6 +48,11 @@ class Service:
         self.start_count = 0
         self.requests_served = 0
         self.restored_from_checkpoint = False
+        self.changed = ChangeSignal()
+
+    def _enter(self, state: ServiceState) -> None:
+        self.state = state
+        self.changed.fire()
 
     # -- reachability -----------------------------------------------------------
 
@@ -65,6 +75,7 @@ class Service:
         ``service.guest``, so the hosting hypervisor hears of it."""
         vmm, _ = guest._require_bound()
         self.guest = guest
+        self.changed.fire()
         vmm.membership_changed()
 
     def start(self, guest: "GuestKernel") -> typing.Generator:
@@ -72,7 +83,7 @@ class Service:
         if self.state is not ServiceState.STOPPED:
             raise ServiceError(f"{self.name} cannot start from {self.state.value}")
         self._attach(guest)
-        self.state = ServiceState.STARTING
+        self._enter(ServiceState.STARTING)
         machine = guest.machine
         if self.read_bytes:
             yield machine.disk.read(f"{guest.name}:svc:{self.name}", self.read_bytes)
@@ -82,7 +93,7 @@ class Service:
         # state does not survive (that's what checkpoints are for).
         self.requests_served = 0
         self.restored_from_checkpoint = False
-        self.state = ServiceState.UP
+        self._enter(ServiceState.UP)
         self.start_count += 1
         guest.sim.trace.record(
             "service.up",
@@ -96,7 +107,7 @@ class Service:
     def mark_stopped(self, reason: str) -> None:
         """Process killed (guest shutdown): immediate, connection-resetting."""
         if self.state in (ServiceState.UP, ServiceState.STARTING):
-            self.state = ServiceState.STOPPED
+            self._enter(ServiceState.STOPPED)
             if self.guest is not None:
                 self.guest.sim.trace.record(
                     "service.down",
@@ -135,7 +146,7 @@ class Service:
                 f"{self.kind!r}"
             )
         self._attach(guest)
-        self.state = ServiceState.STARTING
+        self._enter(ServiceState.STARTING)
         costs = guest.profile.services
         machine = guest.machine
         if costs.checkpoint_bytes:
@@ -146,7 +157,7 @@ class Service:
             yield guest.cpu_execute(costs.checkpoint_restore_cpu_s)
         self.requests_served = int(state.get("requests_served", 0))
         self.restored_from_checkpoint = True
-        self.state = ServiceState.UP
+        self._enter(ServiceState.UP)
         self.start_count += 1
         guest.sim.trace.record(
             "service.up",

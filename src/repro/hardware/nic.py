@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from repro.config import NicSpec
 from repro.errors import HardwareError
-from repro.simkernel import Event, SharedPool, Simulator
+from repro.simkernel import ChangeSignal, Event, SharedPool, Simulator
 
 
 class NetworkLink:
-    """A shared-bandwidth link with per-transfer latency."""
+    """A shared-bandwidth link with per-transfer latency.
+
+    ``changed`` fires when the link goes up or down or its degradation
+    factor is set.
+    """
 
     def __init__(self, sim: Simulator, spec: NicSpec, name: str = "nic") -> None:
         self.sim = sim
@@ -29,6 +33,7 @@ class NetworkLink:
         self._tx_name = name + ".tx"
         self.bytes_sent = 0
         self._metric_tx = sim.metrics.counter("nic.tx_bytes", nic=name)
+        self.changed = ChangeSignal()
 
     # -- link state ----------------------------------------------------------------
 
@@ -50,6 +55,7 @@ class NetworkLink:
             raise HardwareError(f"degradation factor must be in (0,1], got {factor}")
         self._factor = factor
         self._pool.set_capacity(self.spec.bandwidth * factor)
+        self.changed.fire()
 
     def clear_degradation(self) -> None:
         """Restore full link bandwidth."""
@@ -59,10 +65,12 @@ class NetworkLink:
         """Drop the link (host rebooting): in-flight transfers fail."""
         self._up = False
         self._pool.drain()
+        self.changed.fire()
 
     def bring_up(self) -> None:
         """Restore the link after a reboot window."""
         self._up = True
+        self.changed.fire()
 
     # -- transfers ---------------------------------------------------------------------
 

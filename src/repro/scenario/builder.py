@@ -73,20 +73,39 @@ class BuiltScenario:
     workloads: list[AttachedWorkload]
     fluid: FluidCoordinator | None = None
     """The fluid-workload tick driver; created on first fluid attach."""
+    _hosts: tuple[Host, ...] = dataclasses.field(init=False, repr=False)
+    _vm_hosts: dict[str, Host] = dataclasses.field(init=False, repr=False)
+    """VM name -> the host it was installed on, indexed once at build."""
+
+    def __post_init__(self) -> None:
+        if self.cluster is not None:
+            self._hosts = tuple(self.cluster.hosts)
+        elif self.controller is not None:
+            self._hosts = (self.controller.host,)
+        else:  # pragma: no cover - builder invariant
+            raise ScenarioError("built scenario has neither controller nor cluster")
+        self._vm_hosts = {}
+        for host in self._hosts:
+            for vm_name in host.vm_specs:
+                self._vm_hosts.setdefault(vm_name, host)
 
     @property
-    def hosts(self) -> list[Host]:
-        if self.cluster is not None:
-            return list(self.cluster.hosts)
-        assert_controller = self.controller
-        if assert_controller is None:  # pragma: no cover - builder invariant
-            raise ScenarioError("built scenario has neither controller nor cluster")
-        return [assert_controller.host]
+    def hosts(self) -> tuple[Host, ...]:
+        """The scenario's hosts in build order (the cluster's spare excluded)."""
+        return self._hosts
 
     def host_of(self, vm_name: str) -> Host:
-        """The host a named VM is installed on."""
-        for host in self.hosts:
+        """The host a named VM is installed on.
+
+        O(1) from the build-time index; a VM that has since migrated is
+        found again by scanning the hosts.
+        """
+        host = self._vm_hosts.get(vm_name)
+        if host is not None and vm_name in host.vm_specs:
+            return host
+        for host in self._hosts:
             if vm_name in host.vm_specs:
+                self._vm_hosts[vm_name] = host
                 return host
         raise ScenarioError(f"no VM named {vm_name!r} in scenario {self.spec.name!r}")
 

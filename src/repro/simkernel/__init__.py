@@ -20,6 +20,9 @@ This subpackage is self-contained (no dependencies on the rest of
 * :class:`~repro.simkernel.spans.SpanTracker` — nestable causal spans over
   the tracer (``sim.spans``), the substrate for the Perfetto exporter and
   the downtime critical-path analyzer;
+* :class:`~repro.simkernel.signals.ChangeSignal` — change notifications a
+  model object raises about itself, for consumers that cache what they
+  read off it;
 * :class:`~repro.simkernel.metrics.MetricsRegistry` — counters, gauges and
   histograms (``sim.metrics``; opt-in via ``Simulator(metrics=True)`` /
   ``REPRO_METRICS=1``, no-op otherwise).
@@ -44,12 +47,14 @@ from repro.simkernel.sanitizer import (
     SanitizerReport,
 )
 from repro.simkernel.sharing import SharedPool
+from repro.simkernel.signals import ChangeSignal
 from repro.simkernel.spans import SPAN_NAMES, Span, SpanTracker
 from repro.simkernel.tracing import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "ChangeSignal",
     "Counter",
     "DeterminismSanitizer",
     "DeterminismWarning",

@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.hardware.machine import PhysicalMachine
 from repro.memory import Balloon, Extent, FrameAllocator, VmmHeap, coalesce
-from repro.simkernel import Resource
+from repro.simkernel import ChangeSignal, Resource
 from repro.units import GiB, KiB, MiB, pages
 from repro.vmm.domain import Domain, DomainState
 from repro.vmm.event_channels import EventChannelTable
@@ -93,6 +93,7 @@ class Hypervisor:
         self._domain_list_cache: list[Domain] | None = None
         # Wired up by the owning host; see membership_changed().
         self.membership_listener: typing.Callable[[], None] | None = None
+        self.changed = ChangeSignal()
 
     # -- small helpers -----------------------------------------------------------
 
@@ -104,7 +105,9 @@ class Hypervisor:
 
     def membership_changed(self) -> None:
         """Signal that the domains, their guests or the guests' services
-        changed, so owners caching a replica index must rebuild it."""
+        changed, so owners caching a replica index must rebuild it; also
+        fires :attr:`changed` for watchers of this instance."""
+        self.changed.fire()
         listener = self.membership_listener
         if listener is not None:
             listener()

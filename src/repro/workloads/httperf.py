@@ -27,22 +27,24 @@ Two client models live here:
   ``sessions`` closed-loop clients are a single number, advanced at
   aggregation ticks by a per-simulator coordinator that solves a
   processor-sharing rate model (numpy-vectorized across clients) against
-  the live hardware objects.  A million concurrent sessions is one array
-  slot; cross-validated against exact mode in
+  the live hardware objects, re-reading a client's inputs only after one
+  of the objects they came from signalled a change.  A million concurrent
+  sessions is one array slot; cross-validated against exact mode in
   ``tests/workloads/test_fluid.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from bisect import bisect_left, bisect_right
 
 import numpy
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError, ServiceError, WorkloadError
 from repro.guest.services import Service
-from repro.simkernel import Process, Simulator
+from repro.simkernel import ChangeSignal, Process, Simulator
 
 
 class Completion:
@@ -253,6 +255,45 @@ _RESOURCES = 4
 """Waterfill resource axes: CPU (core-seconds), memory bus (bytes), disk
 (bytes), NIC (bytes) — the four pools one Apache request touches."""
 
+_PROBE_FIELDS = (
+    "demand",
+    "cpu cost",
+    "membus cost",
+    "disk cost",
+    "nic cost",
+    "cpu capacity",
+    "membus capacity",
+    "disk capacity",
+    "nic capacity",
+    "payload",
+    "resident",
+)
+"""The float fields of a :class:`FluidProbe`, in column order."""
+
+
+class FluidProbe(typing.NamedTuple):
+    """One client's rate-model inputs, read off the live objects.
+
+    Costs and capacities are per :data:`_RESOURCES` axis.  ``watched``
+    holds the change signals of every object the reading depended on:
+    until one of them fires, probing again returns the same values.
+    """
+
+    guest: typing.Any
+    machine: typing.Any
+    demand: float
+    costs: tuple[float, float, float, float]
+    capacities: tuple[float, float, float, float]
+    payload: float
+    resident: float
+    watched: tuple[ChangeSignal, ...]
+
+    def values(self) -> tuple[float, ...]:
+        """The float fields, in :data:`_PROBE_FIELDS` order."""
+        return (
+            self.demand, *self.costs, *self.capacities, self.payload, self.resident
+        )
+
 
 class FluidHttperf:
     """``sessions`` closed-loop HTTP clients as one fluid quantity.
@@ -262,9 +303,16 @@ class FluidHttperf:
     (``L1`` = one request's unloaded latency read off the live hardware
     objects), throttled by the owning machine's resource capacities when
     several clients share it (see :meth:`FluidCoordinator._account`).
-    Reachability is sampled once per tick through the same ``lookup``
-    exact mode resolves per request, so downtime shows up as zero-rate
-    ticks and retry-paced failures, quantized to the tick length.
+    Reachability is resolved through the same ``lookup`` exact mode
+    resolves per request, so downtime shows up as zero-rate ticks and
+    retry-paced failures, quantized to the tick length.
+
+    :meth:`_probe` reads the rate model's inputs; the coordinator keeps
+    its result in per-client columns and re-runs it only after something
+    it read signalled a change (see :class:`FluidCoordinator`).  The tick
+    log and the running totals behind :attr:`total_completed`,
+    :attr:`bytes_served`, :attr:`failures` and :attr:`downtime_s` live in
+    the coordinator's columns too.
 
     Everything is accounted in plain float rate * dt arithmetic from
     simulation state only — runs are bit-deterministic for a fixed seed,
@@ -293,35 +341,22 @@ class FluidHttperf:
         self._paths = list(paths)
         if not self._paths:
             raise ReproError("fluid httperf needs at least one path")
-        self._since = self.sim.now
-        # Columnar tick log: row k covers [t[k] - dt[k], t[k]].
-        self._tick_t: list[float] = []
-        self._tick_dt: list[float] = []
-        self._tick_rate: list[float] = []
-        self._tick_fail: list[float] = []
-        self._tick_up: list[bool] = []
-        self._completed = 0.0
-        self._bytes = 0.0
-        self.failures = 0.0
-        self.downtime_s = 0.0
         self._warm_cursor = 0
-        self._probe_ctx: tuple[typing.Any, float, float] | None = None
         self._metric_completed = self.sim.metrics.counter(
             "fluid.completed_requests", client=name
         )
         self._metric_errors = self.sim.metrics.counter(
             "fluid.failed_requests", client=name
         )
-        coordinator.register(self)
+        self._index = coordinator.register(self)
 
     # -- per-tick model ---------------------------------------------------------
 
-    def _probe(self) -> tuple[typing.Any, float, list[float], list[float]] | None:
+    def _probe(self) -> FluidProbe | None:
         """Resolve the service and read the rate model's inputs.
 
-        Returns ``(machine, demand, per_request_costs, capacities)`` or
-        ``None`` when the service is unreachable this tick.  Costs and
-        capacities are per :data:`_RESOURCES` axis.
+        ``None`` when the service is unresolved or unreachable.  Reads
+        only; the coordinator decides what to keep.
         """
         try:
             service = self.lookup()
@@ -360,12 +395,22 @@ class FluidHttperf:
             + payload / nic_bw
             + nic.spec.latency_s
         )
-        self._probe_ctx = (guest, payload, resident)
-        return (
+        return FluidProbe(
+            guest,
             machine,
             self.sessions / solo_latency,
-            [cpu_s, mem_bytes, disk_bytes, payload],
-            [float(machine.cpu.cores), mem_bw, disk_bw, nic_bw],
+            (cpu_s, mem_bytes, disk_bytes, payload),
+            (float(machine.cpu.cores), mem_bw, disk_bw, nic_bw),
+            payload,
+            resident,
+            (
+                service.changed,
+                guest.changed,
+                guest.vmm.changed,
+                nic.changed,
+                page_cache.changed,
+                filesystem.changed,
+            ),
         )
 
     def _warm(self, guest: typing.Any, budget_bytes: float) -> None:
@@ -394,35 +439,6 @@ class FluidHttperf:
                     return
             self._warm_cursor += 1
 
-    def _commit(self, start: float, end: float, rate: float, up: bool) -> None:
-        """Account one tick interval [start, end] at a constant rate."""
-        start = max(start, self._since)
-        dt = end - start
-        if dt <= 0:
-            return
-        self._tick_t.append(end)
-        self._tick_dt.append(dt)
-        self._tick_up.append(up)
-        if up:
-            self._tick_rate.append(rate)
-            self._tick_fail.append(0.0)
-            done = rate * dt
-            self._completed += done
-            context = self._probe_ctx
-            if context is not None:
-                guest, payload, resident = context
-                self._bytes += done * payload
-                if resident < 1.0:
-                    self._warm(guest, done * (1.0 - resident) * payload)
-            self._metric_completed.inc(done)
-        else:
-            fail_rate = self.sessions / self.retry_interval_s
-            self._tick_rate.append(0.0)
-            self._tick_fail.append(fail_rate)
-            self.failures += fail_rate * dt
-            self.downtime_s += dt
-            self._metric_errors.inc(fail_rate * dt)
-
     # -- control -----------------------------------------------------------------
 
     def stop(self) -> None:
@@ -434,57 +450,54 @@ class FluidHttperf:
     @property
     def total_completed(self) -> float:
         """Modeled request completions over the whole run (fractional)."""
-        return self._completed
+        return float(self.coordinator._completed[self._index])
 
     @property
     def bytes_served(self) -> float:
-        return self._bytes
+        return float(self.coordinator._bytes[self._index])
 
-    def _overlaps(
-        self, since: float, until: float
-    ) -> typing.Iterator[tuple[int, float]]:
-        """(row index, overlap seconds) for ticks intersecting a window."""
-        ticks = self._tick_t
-        lo = bisect_left(ticks, since)
-        for i in range(lo, len(ticks)):
-            end = ticks[i]
-            start = end - self._tick_dt[i]
-            if start >= until:
-                return
-            overlap = min(end, until) - max(start, since)
-            if overlap > 0:
-                yield i, overlap
+    @property
+    def failures(self) -> float:
+        """Modeled failed (retry-paced) requests over the whole run."""
+        return float(self.coordinator._failures[self._index])
+
+    @property
+    def downtime_s(self) -> float:
+        """Accounted seconds the service was unreachable."""
+        return float(self.coordinator._downtime[self._index])
 
     def _window(self, since: float, until: float) -> dict[str, float]:
-        """Every windowed statistic from one :meth:`_overlaps` walk.
+        """Every windowed statistic from one pass over the tick log.
 
-        Requests, failures and downtime are ``sum()`` over their terms in
-        tick order; mean rate and availability divide running totals.
+        Tick row k covers ``[t[k] - dt[k], t[k]]``; the window takes each
+        row's overlap with ``[since, until]``, up to the first row that
+        starts at or after ``until``.  Requests, failures and downtime
+        sum their terms sequentially in tick order (``add.accumulate``
+        adds left to right like ``sum()``, unlike ``numpy.sum``'s
+        pairwise order); an empty window sums to ``sum([])``'s int 0.
         """
-        rates = self._tick_rate
-        fails = self._tick_fail
-        ups = self._tick_up
-        done_terms: list[float] = []
-        fail_terms: list[float] = []
-        down_terms: list[float] = []
-        total = 0.0
-        done = 0.0
-        down = 0.0
-        for i, overlap in self._overlaps(since, until):
-            served = rates[i] * overlap
-            done_terms.append(served)
-            fail_terms.append(fails[i] * overlap)
-            total += overlap
-            done += served
-            if not ups[i]:
-                down_terms.append(overlap)
-                down += overlap
+        ticks, spans, rates, ups = self.coordinator._tick_log(self._index)
+        lo = int(numpy.searchsorted(ticks, since, side="left"))
+        ends = ticks[lo:]
+        starts = ends - spans[lo:]
+        past = numpy.flatnonzero(starts >= until)
+        hi = int(past[0]) if len(past) else len(ends)
+        overlap = numpy.minimum(ends[:hi], until) - numpy.maximum(starts[:hi], since)
+        kept = overlap > 0
+        overlap = overlap[kept]
+        up = ups[lo : lo + hi][kept]
+        served = rates[lo : lo + hi][kept] * overlap
+        failed = numpy.where(up, 0.0, self.sessions / self.retry_interval_s) * overlap
+        down = overlap[~up]
+        total = _running_sum(overlap)
+        done = _running_sum(served)
+        downtime = _running_sum(down)
         return {
-            "requests": sum(done_terms),
-            "failures": sum(fail_terms),
+            "requests": done,
+            "failures": _running_sum(failed),
             "mean_rate": done / total if total > 0 else 0.0,
-            "downtime_s": sum(down_terms),
-            "availability": 1.0 - down / total if total > 0 else 1.0,
+            "downtime_s": downtime,
+            "availability": 1.0 - downtime / total if total > 0 else 1.0,
         }
 
     def requests(
@@ -519,11 +532,26 @@ class FluidHttperf:
 
     def throughput_timeline(self) -> list[tuple[float, float]]:
         """Per-tick (end time, req/s) points — the fluid Figure 7 series."""
-        return list(zip(self._tick_t, self._tick_rate))
+        ticks, _, rates, _ = self.coordinator._tick_log(self._index)
+        return list(zip(ticks.tolist(), rates.tolist()))
 
     def window_summary(self, since: float, until: float) -> dict[str, float]:
         """The cross-validation row for one observation window."""
         return self._window(since, until)
+
+
+def _running_sum(terms: numpy.ndarray) -> float:
+    """``sum(terms.tolist())``, bit for bit: a left-to-right sum."""
+    if not len(terms):
+        return 0
+    return float(numpy.add.accumulate(terms)[-1])
+
+
+def _grown(column: numpy.ndarray, size: int) -> numpy.ndarray:
+    """``column`` zero-padded to ``size`` rows."""
+    grown = numpy.zeros((size,) + column.shape[1:], dtype=column.dtype)
+    grown[: len(column)] = column
+    return grown
 
 
 class FluidCoordinator:
@@ -539,9 +567,50 @@ class FluidCoordinator:
     closed-loop rate; every machine scales its residents' demands by one
     factor so no resource (CPU, memory bus, disk, NIC) exceeds capacity —
     the fluid analogue of :class:`~repro.simkernel.sharing.SharedPool`'s
-    proportional sharing.  The solve is numpy-vectorized across clients;
-    summation order is registration order, so results are deterministic.
+    proportional sharing.  Summation order is registration order, so
+    results are deterministic.
+
+    **Incremental probes.**  Each client's last :class:`FluidProbe` lives
+    in numpy columns (up flag, machine slot, demand, costs, capacities,
+    payload, residency).  A tick re-probes only the clients marked dirty
+    since the last one, then runs the waterfill and commits the tick as
+    vector updates over all clients.  A client is dirty when it is new,
+    when its last probe found the service unresolved or unreachable, or
+    when an object its last probe read fired its
+    :class:`~repro.simkernel.ChangeSignal`: the service, the guest, the
+    guest's hypervisor (membership), the host NIC (up, down,
+    degradation), the page cache — the client's own cache re-warming
+    included — or the filesystem.  A steady tick therefore costs
+    O(changed clients) in Python plus one numpy solve.
+
+    **Columns.**  Tick rows are kept once per tick for all clients
+    (end time, length, rates, up flags); per-client running totals are
+    float64 vectors updated elementwise, which performs exactly the IEEE
+    operations of a per-client ``+=``.  A client's first row covers only
+    the part of its first tick after it registered.
+
+    **Sanitizer.**  Under ``REPRO_SANITIZE=1`` every tick re-probes every
+    clean client from scratch and compares the result with the cached
+    columns bit for bit, and :meth:`finalize` replays each client's tick
+    ledger against its running totals; a mismatch raises
+    :class:`~repro.errors.WorkloadError`.
     """
+
+    _COLUMNS = (
+        "_up",
+        "_slot",
+        "_demand",
+        "_costs",
+        "_caps",
+        "_payload",
+        "_resident",
+        "_fail_rate",
+        "_completed",
+        "_bytes",
+        "_failures",
+        "_downtime",
+    )
+    """The per-client numpy columns; row i belongs to client i."""
 
     def __init__(self, sim: Simulator, tick_s: float = 1.0) -> None:
         if tick_s <= 0:
@@ -552,15 +621,65 @@ class FluidCoordinator:
         self._proc: Process | None = None
         self._last = sim.now
         self._stopped = False
+        # Cached probe results.
+        self._up = numpy.zeros(0, dtype=bool)
+        self._slot = numpy.zeros(0, dtype=numpy.intp)
+        self._demand = numpy.zeros(0)
+        self._costs = numpy.zeros((0, _RESOURCES))
+        self._caps = numpy.zeros((0, _RESOURCES))
+        self._payload = numpy.zeros(0)
+        self._resident = numpy.zeros(0)
+        self._guests: list[typing.Any] = []
+        self._watched: list[tuple[ChangeSignal, ...]] = []
+        self._watchers: list[typing.Callable[[], None]] = []
+        self._dirty: set[int] = set()
+        self._machines: dict[typing.Any, int] = {}
+        """Machine -> waterfill slot, in first-probe order."""
+        # Running totals.
+        self._fail_rate = numpy.zeros(0)
+        self._completed = numpy.zeros(0)
+        self._bytes = numpy.zeros(0)
+        self._failures = numpy.zeros(0)
+        self._downtime = numpy.zeros(0)
+        # The tick log.
+        self._first: list[int] = []
+        """Each client's first tick row (-1 until it has one)."""
+        self._first_dt: list[float] = []
+        self._waiting: list[tuple[int, float]] = []
+        """(client, registration time) for clients without a tick row yet."""
+        self._payloads: list[list[tuple[int, float]]] = []
+        """Per client, (first tick row, payload) whenever a probe changed it."""
+        self._tick_end: list[float] = []
+        self._tick_dt: list[float] = []
+        self._tick_rate: list[numpy.ndarray] = []
+        self._tick_up: list[numpy.ndarray] = []
+        self._stacked: tuple[int, numpy.ndarray, ...] | None = None
+        """The tick rows as matrices, rebuilt when a tick was added."""
 
-    def register(self, client: FluidHttperf) -> None:
-        """Add a client; starts the tick process on the first register."""
+    def register(self, client: FluidHttperf) -> int:
+        """Add a client and return its column index; starts the tick
+        process on the first register."""
         if self._stopped:
             raise ReproError("fluid coordinator already finalized")
+        index = len(self._clients)
+        if index == len(self._up):
+            size = max(16, 2 * index)
+            for name in self._COLUMNS:
+                setattr(self, name, _grown(getattr(self, name), size))
         self._clients.append(client)
+        self._fail_rate[index] = client.sessions / client.retry_interval_s
+        self._guests.append(None)
+        self._watched.append(())
+        self._watchers.append(functools.partial(self._dirty.add, index))
+        self._dirty.add(index)
+        self._first.append(-1)
+        self._first_dt.append(0.0)
+        self._waiting.append((index, self.sim.now))
+        self._payloads.append([])
         if self._proc is None:
             self._last = self.sim.now
             self._proc = self.sim.spawn(self._run(), name="fluid.coordinator")
+        return index
 
     def _run(self) -> typing.Generator:
         sim = self.sim
@@ -570,36 +689,112 @@ class FluidCoordinator:
             yield sim.timeout(target - sim.now)
             self._account(sim.now)
 
+    # -- probes ------------------------------------------------------------------
+
+    def _refresh(self, index: int) -> None:
+        """Re-probe one client into its columns and re-aim its watcher."""
+        watcher = self._watchers[index]
+        for signal in self._watched[index]:
+            signal.unwatch(watcher)
+        probe = self._clients[index]._probe()
+        if probe is None:
+            # Unresolved or unreachable: probe again next tick.
+            self._up[index] = False
+            self._guests[index] = None
+            self._watched[index] = ()
+            self._dirty.add(index)
+            return
+        self._up[index] = True
+        self._slot[index] = self._machines.setdefault(
+            probe.machine, len(self._machines)
+        )
+        self._demand[index] = probe.demand
+        self._costs[index] = probe.costs
+        self._caps[index] = probe.capacities
+        self._payload[index] = probe.payload
+        self._resident[index] = probe.resident
+        self._guests[index] = probe.guest
+        self._watched[index] = probe.watched
+        for signal in probe.watched:
+            signal.watch(watcher)
+        payloads = self._payloads[index]
+        if not payloads or payloads[-1][1] != probe.payload:
+            payloads.append((len(self._tick_end), probe.payload))
+
+    def _cross_check(self) -> None:
+        """Sanitizer: every clean client's cached probe equals a fresh
+        one, bit for bit.
+
+        Dirty clients are skipped: they are re-probed before their
+        columns are next read.  Right after a tick's refresh the only
+        dirty clients are the unreachable ones.
+        """
+        dirty = self._dirty
+        for index, client in enumerate(self._clients):
+            if index in dirty:
+                continue
+            fresh = client._probe()
+            cached_up = bool(self._up[index])
+            if (fresh is not None) != cached_up:
+                self._desync(index, "up", cached_up, fresh is not None)
+            if fresh is None:
+                continue
+            slot = int(self._slot[index])
+            if self._machines.get(fresh.machine) != slot:
+                self._desync(index, "machine slot", slot, fresh.machine)
+            if fresh.guest is not self._guests[index]:
+                self._desync(index, "guest", self._guests[index], fresh.guest)
+            if fresh.watched != self._watched[index]:
+                self._desync(
+                    index, "watched signals", self._watched[index], fresh.watched
+                )
+            cached = (
+                float(self._demand[index]),
+                *self._costs[index].tolist(),
+                *self._caps[index].tolist(),
+                float(self._payload[index]),
+                float(self._resident[index]),
+            )
+            for field, old, new in zip(_PROBE_FIELDS, cached, fresh.values()):
+                if old.hex() != float(new).hex():
+                    self._desync(index, field, old, new)
+
+    def _desync(
+        self, index: int, field: str, cached: typing.Any, fresh: typing.Any
+    ) -> typing.NoReturn:
+        raise WorkloadError(
+            f"fluid client {self._clients[index].name!r} (#{index}): cached "
+            f"{field} {cached!r} but a fresh probe reads {fresh!r}: a change "
+            "to an object its last probe read was not signalled"
+        )
+
+    # -- ticks -------------------------------------------------------------------
+
     def _account(self, until: float) -> None:
         start = self._last
         if until <= start:
             return
         self._last = until
-        clients = self._clients
-        count = len(clients)
-        up = numpy.zeros(count, dtype=bool)
-        demand = numpy.zeros(count)
-        costs = numpy.zeros((_RESOURCES, count))
-        machine_index = numpy.zeros(count, dtype=int)
-        machine_slots: dict[int, int] = {}
-        capacities: list[list[float]] = []
-        for i, client in enumerate(clients):
-            probe = client._probe()
-            if probe is None:
-                continue
-            machine, client_demand, cost, capacity = probe
-            slot = machine_slots.setdefault(id(machine), len(machine_slots))
-            if slot == len(capacities):
-                capacities.append(capacity)
-            machine_index[i] = slot
-            up[i] = True
-            demand[i] = client_demand
-            costs[:, i] = cost
-        if machine_slots:
-            load = numpy.zeros((_RESOURCES, len(machine_slots)))
+        count = len(self._clients)
+        if not count:
+            return
+        if self._dirty:
+            dirty = sorted(self._dirty)
+            self._dirty.clear()
+            for index in dirty:
+                self._refresh(index)
+        if self.sim.sanitizer is not None:
+            self._cross_check()
+        up = self._up[:count].copy()
+        demand = numpy.where(up, self._demand[:count], 0.0)
+        slots = self._slot[:count]
+        machines = len(self._machines)
+        if machines:
+            load = numpy.zeros((_RESOURCES, machines))
             for axis in range(_RESOURCES):
-                numpy.add.at(load[axis], machine_index, demand * costs[axis])
-            capacity = numpy.array(capacities).T
+                numpy.add.at(load[axis], slots, demand * self._costs[:count, axis])
+            capacity = numpy.ones((_RESOURCES, machines))
+            capacity[:, slots[up]] = self._caps[:count][up].T
             # An axis nobody stresses (fully-resident corpus: zero disk
             # bytes) has load 0; the discarded division overflows, so
             # silence it rather than special-case the mask.
@@ -608,17 +803,140 @@ class FluidCoordinator:
                     load > 0.0, capacity / numpy.maximum(load, 1e-300), numpy.inf
                 )
             scale = numpy.minimum(ratio.min(axis=0), 1.0)
-            rates = demand * scale[machine_index]
+            rates = demand * scale[slots]
         else:
             rates = demand
-        for i, client in enumerate(clients):
-            client._commit(start, until, float(rates[i]), bool(up[i]))
+        self._commit(start, until, rates, up)
+
+    def _commit(
+        self, start: float, until: float, rates: numpy.ndarray, up: numpy.ndarray
+    ) -> None:
+        """Account the tick [start, until] for every client at once."""
+        count = len(rates)
+        full = until - start
+        dt: float | numpy.ndarray = full
+        row = len(self._tick_end)
+        if self._waiting:
+            # A client's first row starts where it registered; one that
+            # registered at the tick's very end waits for the next tick.
+            dt = numpy.full(count, full)
+            waiting: list[tuple[int, float]] = []
+            for index, since in self._waiting:
+                span = until - max(start, since)
+                if span > 0:
+                    self._first[index] = row
+                    self._first_dt[index] = span
+                    dt[index] = span
+                else:
+                    dt[index] = 0.0
+                    waiting.append((index, since))
+            self._waiting = waiting
+        payload = self._payload[:count]
+        done = rates * dt
+        fail = numpy.where(up, 0.0, self._fail_rate[:count] * dt)
+        self._completed[:count] += done
+        self._bytes[:count] += done * payload
+        self._failures[:count] += fail
+        self._downtime[:count] += numpy.where(up, 0.0, dt)
+        self._tick_end.append(until)
+        self._tick_dt.append(full)
+        self._tick_rate.append(rates)
+        self._tick_up.append(up)
+        resident = self._resident[:count]
+        cold = numpy.flatnonzero(up & (resident < 1.0))
+        if len(cold):
+            budgets = done * (1.0 - resident) * payload
+            for index in cold.tolist():
+                self._clients[index]._warm(self._guests[index], float(budgets[index]))
+        if self.sim.metrics.enabled:
+            first = self._first
+            for index, (served, failed, is_up) in enumerate(
+                zip(done.tolist(), fail.tolist(), up.tolist())
+            ):
+                if first[index] < 0:
+                    continue
+                client = self._clients[index]
+                if is_up:
+                    client._metric_completed.inc(served)
+                else:
+                    client._metric_errors.inc(failed)
+
+    def _tick_log(
+        self, index: int
+    ) -> tuple[numpy.ndarray, numpy.ndarray, numpy.ndarray, numpy.ndarray]:
+        """One client's tick rows as (end times, lengths, rates, up flags)."""
+        first = self._first[index]
+        if first < 0:
+            empty = numpy.zeros(0)
+            return empty, empty, empty, numpy.zeros(0, dtype=bool)
+        rows = len(self._tick_end)
+        if self._stacked is None or self._stacked[0] != rows:
+            width = len(self._tick_rate[-1])
+            rates = numpy.zeros((rows, width))
+            ups = numpy.zeros((rows, width), dtype=bool)
+            for row, (rate, up) in enumerate(zip(self._tick_rate, self._tick_up)):
+                rates[row, : len(rate)] = rate
+                ups[row, : len(up)] = up
+            self._stacked = (
+                rows, numpy.array(self._tick_end), numpy.array(self._tick_dt),
+                rates, ups,
+            )
+        _, ends, spans, rates, ups = self._stacked
+        spans = spans[first:].copy()
+        spans[0] = self._first_dt[index]
+        return ends[first:], spans, rates[first:, index], ups[first:, index]
+
+    def _check_conservation(self) -> None:
+        """Sanitizer: replay every client's tick ledger, in order, against
+        its running totals; they must agree exactly."""
+        for index, client in enumerate(self._clients):
+            _, spans, rates, ups = (
+                column.tolist() for column in self._tick_log(index)
+            )
+            fail_rate = float(self._fail_rate[index])
+            payloads = self._payloads[index]
+            cursor = 0
+            payload = 0.0
+            completed = served = failures = downtime = 0.0
+            for offset, (span, rate, is_up) in enumerate(zip(spans, rates, ups)):
+                row = self._first[index] + offset
+                while cursor < len(payloads) and payloads[cursor][0] <= row:
+                    payload = payloads[cursor][1]
+                    cursor += 1
+                if is_up:
+                    done = rate * span
+                    completed += done
+                    served += done * payload
+                else:
+                    failures += fail_rate * span
+                    downtime += span
+            for field, ledger, total in (
+                ("total_completed", completed, client.total_completed),
+                ("bytes_served", served, client.bytes_served),
+                ("failures", failures, client.failures),
+                ("downtime_s", downtime, client.downtime_s),
+            ):
+                if ledger != total:
+                    raise WorkloadError(
+                        f"fluid client {client.name!r} (#{index}): {field} is "
+                        f"{total!r} but its tick ledger sums to {ledger!r}"
+                    )
 
     def finalize(self) -> None:
-        """Account the trailing partial tick and stop; idempotent."""
+        """Account the trailing partial tick and stop; idempotent.
+
+        Under the runtime sanitizer, also checks request conservation
+        (see :meth:`_check_conservation`).
+        """
         if self._stopped:
             return
         self._account(self.sim.now)
         self._stopped = True
         if self._proc is not None and self._proc.is_alive:
             self._proc.kill()
+        for watcher, watched in zip(self._watchers, self._watched):
+            for signal in watched:
+                signal.unwatch(watcher)
+        self._watched = [() for _ in self._clients]
+        if self.sim.sanitizer is not None:
+            self._check_conservation()

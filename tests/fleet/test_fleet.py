@@ -234,55 +234,95 @@ class TestMerge:
 
 
 class TestLinearity:
-    """Replica resolution must cost O(hosts) per fleet, not O(hosts²).
+    """Per-fleet work must grow linearly in hosts, not quadratically.
 
-    Counts the hosts ``Cluster.services`` visits (the same quantity as
-    perfbench's ``cluster.hosts_scanned``) over a fluid fleet in which
-    every host reboots once, at two sizes with the same epoch count.  A
-    per-miss rescan grows 16x for 4x hosts; the replica index rebuilds a
-    constant number of times, so the scan work grows 4x.  Deterministic
-    and machine-independent: a count, not a wall clock.
+    Runs a fluid fleet in which every host reboots once, at two sizes
+    with the same epoch count, and counts two quantities:
+
+    * the hosts ``Cluster.services`` visits (the same quantity as
+      perfbench's ``cluster.hosts_scanned``).  A per-miss rescan grows
+      16x for 4x hosts; the replica index rebuilds a constant number of
+      times, so the scan work grows 4x;
+    * full ``FluidHttperf._probe`` executions.  The incremental tick
+      re-probes a client only after a change signal or while its service
+      is unreachable, so probes grow with hosts and stay a small fraction
+      of the ticks per host, where a per-tick probe loop runs one per
+      tick.
+
+    Deterministic and machine-independent: counts, not wall clocks.  The
+    runtime sanitizer cross-checks every replica lookup with a full scan
+    and every tick with a full re-probe; measure the production path
+    without it.
     """
 
     MAX_RATIO = 4.5
+    MAX_PROBES_PER_TICK = 0.10
+    """Probes per host, as a fraction of the fleet's ticks."""
 
-    @staticmethod
-    def _hosts_scanned(hosts: int, monkeypatch) -> int:
+    @pytest.fixture(scope="class")
+    def counts(self):
         from repro.cluster import Cluster
+        from repro.workloads.httperf import FluidCoordinator, FluidHttperf
 
-        scanned = [0]
-        scan = Cluster.services
+        measured = {}
+        for hosts in (20, 80):
+            tally = {"scanned": 0, "probes": 0, "ticks": 0}
+            scan = Cluster.services
+            probe = FluidHttperf._probe
+            account = FluidCoordinator._account
 
-        def counting(self, service_name=None):
-            scanned[0] += sum(
-                1 for host in self._members() if host.vmm is not None
-            )
-            return scan(self, service_name)
+            def counting_scan(self, service_name=None):
+                tally["scanned"] += sum(
+                    1 for host in self._members() if host.vmm is not None
+                )
+                return scan(self, service_name)
 
-        monkeypatch.setattr(Cluster, "services", counting)
-        spec = _fleet(
-            name=f"linear-{hosts}",
-            shards=1,
-            hosts=[
-                {"count": hosts, "vms": [{"count": 1, "services": ["apache"]}]}
-            ],
-            hosts_per_epoch=hosts // 10,
-            warmup_s=120.0,
-            observe_s=600.0,
-        )
-        report = run_fleet(spec, jobs=1)
-        # every host's client saw its reboot outage inside the window
-        assert len(report.rows) == hosts
-        assert all(row["downtime_s"] > 0 for row in report.rows)
-        return scanned[0]
+            def counting_probe(self):
+                tally["probes"] += 1
+                return probe(self)
 
-    def test_hosts_scanned_grow_linearly(self, monkeypatch):
-        # The runtime sanitizer cross-checks every replica lookup with a
-        # deliberate full scan; measure the production path without it.
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        small = self._hosts_scanned(20, monkeypatch)
-        large = self._hosts_scanned(80, monkeypatch)
+            def counting_account(self, until):
+                if until > self._last:
+                    tally["ticks"] += 1
+                return account(self, until)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("REPRO_SANITIZE", "0")
+                patch.setattr(Cluster, "services", counting_scan)
+                patch.setattr(FluidHttperf, "_probe", counting_probe)
+                patch.setattr(FluidCoordinator, "_account", counting_account)
+                spec = _fleet(
+                    name=f"linear-{hosts}",
+                    shards=1,
+                    hosts=[
+                        {"count": hosts,
+                         "vms": [{"count": 1, "services": ["apache"]}]}
+                    ],
+                    hosts_per_epoch=hosts // 10,
+                    warmup_s=120.0,
+                    observe_s=600.0,
+                )
+                report = run_fleet(spec, jobs=1)
+            # every host's client saw its reboot outage inside the window
+            assert len(report.rows) == hosts
+            assert all(row["downtime_s"] > 0 for row in report.rows)
+            measured[hosts] = tally
+        return measured
+
+    def test_hosts_scanned_grow_linearly(self, counts):
+        small, large = counts[20]["scanned"], counts[80]["scanned"]
         assert large / small <= self.MAX_RATIO, (small, large)
+
+    def test_probes_grow_linearly(self, counts):
+        small, large = counts[20]["probes"], counts[80]["probes"]
+        assert large / small <= self.MAX_RATIO, (small, large)
+
+    def test_probes_per_host_are_a_small_fraction_of_ticks(self, counts):
+        for hosts, tally in counts.items():
+            per_host = tally["probes"] / hosts
+            assert per_host < self.MAX_PROBES_PER_TICK * tally["ticks"], (
+                hosts, tally
+            )
 
 
 class TestCli:

@@ -103,6 +103,49 @@ class TestEviction:
         assert cache.used_bytes == 0
         assert cache.resident_files() == []
 
+    def test_eviction_order_and_clamp_keep_running_total(self):
+        """LRU victims leave oldest first, a file growing past capacity
+        evicts the rest and is clamped to capacity, and the running total
+        always equals a re-sum of the resident bytes."""
+        cache = PageCache(mib(10))
+
+        def resum():
+            return sum(cache.cached_bytes(p) for p in cache.resident_files())
+
+        for path in ("/a", "/b", "/c"):
+            cache.insert(path, mib(3))
+        assert cache.used_bytes == resum() == mib(9)
+        cache.touch("/a")  # LRU order now /b, /c, /a
+        cache.insert("/d", mib(5))  # needs 4 MiB back: /b, then /c
+        assert cache.resident_files() == ["/a", "/d"]
+        assert cache.used_bytes == resum() == mib(8)
+        cache.insert("/a", mib(1))  # grows in place, moves to MRU
+        assert cache.resident_files() == ["/d", "/a"]
+        assert cache.used_bytes == resum() == mib(9)
+        cache.insert("/a", mib(20))  # past capacity: evict /d, clamp /a
+        assert cache.resident_files() == ["/a"]
+        assert cache.cached_bytes("/a") == mib(10)
+        assert cache.used_bytes == resum() == mib(10)
+        cache.invalidate("/a")
+        assert cache.used_bytes == resum() == 0
+        assert cache.free_bytes == mib(10)
+
+    def test_changed_fires_only_when_residency_changes(self):
+        cache = PageCache(mib(10))
+        fired = []
+        cache.changed.watch(lambda: fired.append(True))
+        cache.insert("/a", mib(2))
+        assert len(fired) == 1
+        cache.touch("/a")
+        cache.insert("/a", 0)
+        cache.split_read("/a", mib(1))
+        cache.invalidate("/missing")
+        assert len(fired) == 1  # LRU order and stats are not residency
+        cache.insert("/b", mib(9))  # evicts /a: one change
+        cache.invalidate("/b")
+        cache.clear()  # already empty
+        assert len(fired) == 3
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -133,4 +176,7 @@ def test_cache_never_exceeds_capacity(ops):
         else:
             cache.touch(path)
         assert 0 <= cache.used_bytes <= capacity
+        assert cache.used_bytes == sum(
+            cache.cached_bytes(p) for p in cache.resident_files()
+        )
         assert all(cache.cached_bytes(p) > 0 for p in cache.resident_files())

@@ -10,14 +10,18 @@ it is expected to drift a few percent on throughput — never on the
 downtime ledger, which both modes derive from the same retry pacing.
 """
 
+import bisect
 import math
 
 import pytest
 
-from repro.errors import ReproError, ScenarioError
+from repro.cluster import live_migrate
+from repro.config import paper_testbed
+from repro.core import Host, VMSpec
+from repro.errors import ReproError, ScenarioError, WorkloadError
 from repro.scenario import ScenarioSpec, build_scenario, run_scenario
-from repro.simkernel import Simulator
-from repro.units import kib
+from repro.simkernel import ChangeSignal, Simulator
+from repro.units import gib, kib
 from repro.workloads.httperf import FluidCoordinator, FluidHttperf
 
 from tests.conftest import build_started_host
@@ -245,6 +249,288 @@ class TestFluidModel:
         with pytest.raises(ReproError):
             FluidHttperf(coordinator, lookup, paths, sessions=4,
                          retry_interval_s=0.0)
+
+
+def _reference_window(ticks, spans, rates, ups, fail_rate, since, until):
+    """The per-row loop the vectorized window replaced (the reference)."""
+    done_terms, fail_terms, down_terms = [], [], []
+    total = done = down = 0.0
+    for i in range(bisect.bisect_left(ticks, since), len(ticks)):
+        end = ticks[i]
+        start = end - spans[i]
+        if start >= until:
+            break
+        overlap = min(end, until) - max(start, since)
+        if overlap > 0:
+            served = rates[i] * overlap
+            done_terms.append(served)
+            fail_terms.append((0.0 if ups[i] else fail_rate) * overlap)
+            total += overlap
+            done += served
+            if not ups[i]:
+                down_terms.append(overlap)
+                down += overlap
+    return {
+        "requests": sum(done_terms),
+        "failures": sum(fail_terms),
+        "mean_rate": done / total if total > 0 else 0.0,
+        "downtime_s": sum(down_terms),
+        "availability": 1.0 - down / total if total > 0 else 1.0,
+    }
+
+
+class TestTickLog:
+    def test_windows_match_loop_reference(self):
+        """Coordinator-level tick columns answer every window exactly as
+        the per-client loop did, including a late client's partial first
+        tick and windows that are empty or cut a tick."""
+        sim = Simulator(sanitize=False)
+        host = build_started_host(sim, n_vms=1, services=("apache",))
+        guest = host.guest("vm0")
+        paths = guest.filesystem.create_many("/www", 4, kib(512))
+        lookup = lambda: host.guest("vm0").service("apache")  # noqa: E731
+        coordinator = FluidCoordinator(sim, tick_s=1.0)
+        early = FluidHttperf(coordinator, lookup, paths, sessions=8)
+        sim.run(until=sim.now + 2.37)
+        late = FluidHttperf(coordinator, lookup, paths, sessions=3)
+        registered = sim.now
+        sim.run(until=sim.now + 3.0)
+        sim.run(sim.spawn(guest.run_suspend_handler()))
+        sim.run(until=sim.now + 2.2)
+        sim.run(sim.spawn(guest.run_resume_handler()))
+        sim.run(until=sim.now + 2.6)
+        late.stop()
+        ticks, spans, _, _ = coordinator._tick_log(late._index)
+        assert spans[0] == ticks[0] - registered  # partial first tick
+        coordinator._check_conservation()  # totals agree with the rows
+        for client in (early, late):
+            log = [c.tolist() for c in coordinator._tick_log(client._index)]
+            fail_rate = client.sessions / client.retry_interval_s
+            edges = [float("-inf"), registered, sim.now, float("inf")]
+            edges += [t + shift for t in log[0] for shift in (-0.5, 0.0, 0.25)]
+            for since in edges:
+                for until in edges:
+                    want = _reference_window(*log, fail_rate, since, until)
+                    assert repr(client.window_summary(since, until)) == repr(want)
+            assert client.throughput_timeline() == list(zip(log[0], log[2]))
+
+
+class TestIncrementalProbes:
+    """A tick re-probes only clients marked dirty by a change signal.
+
+    Each test changes one signal source between ``sim.run`` calls and
+    asserts that the cached columns picked the change up and equal a
+    fresh probe (the check the sanitizer makes on every tick).  The
+    simulator runs without the sanitizer, so the cached path alone must
+    get it right.
+    """
+
+    @pytest.fixture()
+    def sim(self):
+        return Simulator(sanitize=False)
+
+    @pytest.fixture()
+    def web(self, sim):
+        host = build_started_host(sim, n_vms=1, services=("apache",))
+        guest = host.guest("vm0")
+        paths = guest.filesystem.create_many("/www", 4, kib(512))
+        sim.run(sim.spawn(guest.warm_file_cache(paths)))
+        coordinator = FluidCoordinator(sim, tick_s=1.0)
+        client = FluidHttperf(
+            coordinator, lambda: host.guest("vm0").service("apache"),
+            paths, sessions=8,
+        )
+        sim.run(until=sim.now + 3.0)
+        return host, guest, coordinator, client
+
+    @staticmethod
+    def _settle(sim, coordinator, seconds=2.0):
+        """Run past the next tick, then compare every cached probe with
+        a fresh one (raises WorkloadError on any difference)."""
+        sim.run(until=sim.now + seconds)
+        coordinator._cross_check()
+
+    def test_steady_ticks_do_not_reprobe(self, sim, web, monkeypatch):
+        _, _, coordinator, client = web
+        probes = []
+        original = FluidHttperf._probe
+        monkeypatch.setattr(
+            FluidHttperf, "_probe",
+            lambda self: probes.append(1) or original(self),
+        )
+        sim.run(until=sim.now + 20.0)
+        assert probes == []
+        assert client.total_completed > 0
+
+    def test_nic_degradation(self, sim, web):
+        host, _, coordinator, client = web
+        nic = host.machine.nic
+        before = coordinator._caps[client._index][3]
+        nic.set_degradation(0.5)
+        self._settle(sim, coordinator)
+        assert coordinator._caps[client._index][3] == before * 0.5
+        nic.clear_degradation()
+        self._settle(sim, coordinator)
+        assert coordinator._caps[client._index][3] == before
+
+    def test_nic_down_and_up(self, sim, web):
+        host, _, coordinator, client = web
+        host.machine.nic.bring_down()
+        self._settle(sim, coordinator)
+        assert not coordinator._up[client._index]
+        assert client.downtime_s > 0
+        host.machine.nic.bring_up()
+        self._settle(sim, coordinator)
+        assert coordinator._up[client._index]
+
+    def test_page_cache_clear(self, sim, web):
+        _, guest, coordinator, client = web
+        assert coordinator._resident[client._index] == 1.0
+        guest.page_cache.clear()
+        self._settle(sim, coordinator, seconds=1.0)
+        assert coordinator._resident[client._index] < 1.0
+        # the client's own re-warming keeps it dirty until fully resident
+        self._settle(sim, coordinator, seconds=30.0)
+        assert coordinator._resident[client._index] == 1.0
+
+    def test_service_stop_and_restart(self, sim, web):
+        _, guest, coordinator, client = web
+        service = guest.service("apache")
+        service.mark_stopped(reason="test")
+        self._settle(sim, coordinator)
+        assert not coordinator._up[client._index]
+        sim.run(sim.spawn(service.start(guest)))
+        self._settle(sim, coordinator)
+        assert coordinator._up[client._index]
+
+    def test_guest_suspend_and_resume(self, sim, web):
+        _, guest, coordinator, client = web
+        sim.run(sim.spawn(guest.run_suspend_handler()))
+        self._settle(sim, coordinator)
+        assert not coordinator._up[client._index]
+        sim.run(sim.spawn(guest.run_resume_handler()))
+        self._settle(sim, coordinator)
+        assert coordinator._up[client._index]
+
+    def test_membership_change_alone(self, sim, web):
+        """Destroying the domain under a still-running guest changes only
+        the hypervisor's membership; the lookup must stop resolving."""
+        host, _, coordinator, client = web
+        host.require_vmm().destroy_domain("vm0")
+        self._settle(sim, coordinator)
+        assert not coordinator._up[client._index]
+
+    def test_filesystem_resize(self, sim, web):
+        _, guest, coordinator, client = web
+        payload = coordinator._payload[client._index]
+        guest.filesystem.create(client._paths[0], kib(2048))
+        self._settle(sim, coordinator)
+        assert coordinator._payload[client._index] > payload
+
+    def test_migration_moves_machine_slot(self, sim):
+        hosts = []
+        for name, vms in (("src", [VMSpec("mobile", memory_bytes=gib(1),
+                                          services=("apache",))]),
+                          ("dst", [])):
+            host = Host(sim, profile=paper_testbed(), name=name)
+            host.install_vms(vms)
+            sim.run(sim.spawn(host.start()))
+            hosts.append(host)
+        src, dst = hosts
+        guest = src.guest("mobile")
+        paths = guest.filesystem.create_many("/www", 4, kib(512))
+        sim.run(sim.spawn(guest.warm_file_cache(paths)))
+        coordinator = FluidCoordinator(sim, tick_s=1.0)
+        client = FluidHttperf(
+            coordinator, lambda: guest.service("apache"), paths, sessions=8
+        )
+        self._settle(sim, coordinator)
+        assert coordinator._slot[client._index] == coordinator._machines[src.machine]
+        migration = sim.spawn(live_migrate(src, dst, "mobile"))
+        self._settle(sim, coordinator, seconds=5.0)  # pre-copy: source NIC degraded
+        assert coordinator._caps[client._index][3] < src.machine.nic.spec.bandwidth
+        sim.run(migration)
+        self._settle(sim, coordinator)
+        assert coordinator._slot[client._index] == coordinator._machines[dst.machine]
+        assert coordinator._caps[client._index][3] == dst.machine.nic.spec.bandwidth
+
+    def test_silenced_signal_caught_by_sanitizer(self):
+        """Planted defect: a NIC whose change notification is silenced
+        leaves a stale cached capacity, and the sanitizer names it."""
+
+        class Silent(ChangeSignal):
+            def fire(self):
+                pass
+
+        sim = Simulator(sanitize=True)
+        host = build_started_host(sim, n_vms=1, services=("apache",))
+        host.machine.nic.changed = Silent()
+        guest = host.guest("vm0")
+        paths = guest.filesystem.create_many("/www", 4, kib(512))
+        sim.run(sim.spawn(guest.warm_file_cache(paths)))
+        coordinator = FluidCoordinator(sim, tick_s=1.0)
+        FluidHttperf(
+            coordinator, lambda: host.guest("vm0").service("apache"),
+            paths, sessions=8, name="planted",
+        )
+        sim.run(until=sim.now + 3.0)
+        host.machine.nic.set_degradation(0.5)
+        with pytest.raises(WorkloadError, match=r"'planted'.*cached demand .* fresh probe reads"):
+            sim.run(until=sim.now + 2.0)
+
+
+class TestConservation:
+    """Under the sanitizer, finalize() replays every client's tick ledger
+    against its running totals."""
+
+    def _run(self):
+        sim = Simulator(sanitize=True)
+        host = build_started_host(sim, n_vms=1, services=("apache",))
+        guest = host.guest("vm0")
+        paths = guest.filesystem.create_many("/www", 4, kib(512))
+        coordinator = FluidCoordinator(sim, tick_s=1.0)
+        client = FluidHttperf(
+            coordinator, lambda: host.guest("vm0").service("apache"),
+            paths, sessions=8, name="ledger",
+        )
+        sim.run(until=sim.now + 5.5)  # cold cache: payload re-warms
+        sim.run(sim.spawn(guest.run_suspend_handler()))
+        sim.run(until=sim.now + 3.0)
+        sim.run(sim.spawn(guest.run_resume_handler()))
+        sim.run(until=sim.now + 2.5)
+        return coordinator, client
+
+    def test_ledger_matches_totals(self):
+        _, client = self._run()
+        client.stop()  # the check runs here
+        assert client.failures > 0 and client.total_completed > 0
+
+    def test_skewed_accumulator_raises(self):
+        coordinator, client = self._run()
+        coordinator._completed[client._index] += 1.0
+        with pytest.raises(WorkloadError, match=r"'ledger'.*total_completed"):
+            client.stop()
+
+    def test_metric_counters_equal_totals(self):
+        """With metrics on, the fluid counters sum the same terms in the
+        same order as the running totals."""
+        sim = Simulator(metrics=True)
+        host = build_started_host(sim, n_vms=1, services=("apache",))
+        guest = host.guest("vm0")
+        paths = guest.filesystem.create_many("/www", 4, kib(512))
+        coordinator = FluidCoordinator(sim, tick_s=1.0)
+        client = FluidHttperf(
+            coordinator, lambda: host.guest("vm0").service("apache"),
+            paths, sessions=8, name="counted",
+        )
+        sim.run(until=sim.now + 3.5)
+        host.machine.nic.bring_down()
+        sim.run(until=sim.now + 2.0)
+        client.stop()
+        completed = sim.metrics.counter("fluid.completed_requests", client="counted")
+        failed = sim.metrics.counter("fluid.failed_requests", client="counted")
+        assert completed.value == client.total_completed
+        assert failed.value == client.failures > 0
 
 
 class TestSpecValidation:
