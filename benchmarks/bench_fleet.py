@@ -11,7 +11,11 @@ Four sizes exercise the tier's reason to exist:
   two walls come from one machine seconds apart and their ratio
   (``fluid_speedup``) is hardware-independent.  The perf gate requires
   it ≥ ``FLUID_MIN_SPEEDUP`` (see ``perf_report.py``) — the fluid
-  model must actually buy the orders of magnitude it claims.
+  model must actually buy the orders of magnitude it claims.  The exact
+  cell also runs with ``telemetry = true``; that wall over the plain
+  one (``telemetry_overhead``) is the same-run price of capturing,
+  merging and reporting the telemetry bundle, gated ≤
+  ``FLEET_TELEMETRY_MAX_OVERHEAD``.
 * **100 and 400 hosts, fluid** — single-shard in-process runs with the
   same epoch count (a tenth of the hosts per epoch); guard the per-tick
   vectorized accounting path against regressions, and their wall ratio
@@ -42,6 +46,10 @@ OVERLAP_HOSTS = 4
 SCALING_HOSTS = (100, 400)
 SCALING_ROUNDS = 2
 
+#: Interleaved rounds of the exact overlap cell without and with
+#: telemetry; each wall is the best of its rounds.
+TELEMETRY_ROUNDS = 2
+
 
 def _fleet_spec(
     hosts: int,
@@ -52,6 +60,7 @@ def _fleet_spec(
     warmup_s: float,
     observe_s: float,
     tick_s: float = 1.0,
+    telemetry: bool = False,
 ) -> typing.Any:
     from repro.fleet import FleetSpec
 
@@ -80,6 +89,7 @@ def _fleet_spec(
             "epoch_s": 60.0,
             "warmup_s": warmup_s,
             "observe_s": observe_s,
+            "telemetry": telemetry,
         }
     )
 
@@ -103,11 +113,20 @@ def measure(full: bool = False, jobs: int = 8) -> dict[str, typing.Any]:
         hosts=OVERLAP_HOSTS, shards=1, sessions=8, hosts_per_epoch=2,
         warmup_s=60.0, observe_s=120.0,
     )
-    exact_s = _run(_fleet_spec(mode="exact", **overlap), jobs=1)
+    exact_specs = [
+        _fleet_spec(mode="exact", telemetry=telemetry, **overlap)
+        for telemetry in (False, True)
+    ]
+    exact_rounds = [
+        [_run(spec, jobs=1) for spec in exact_specs]
+        for _ in range(TELEMETRY_ROUNDS)
+    ]
+    exact_s, telemetry_s = (min(cell) for cell in zip(*exact_rounds))
     fluid_s = _run(_fleet_spec(mode="fluid", **overlap), jobs=1)
     matrix: dict[str, dict[str, float]] = {
         str(OVERLAP_HOSTS): {
             "exact_s": round(exact_s, 3),
+            "exact_telemetry_s": round(telemetry_s, 3),
             "fluid_s": round(fluid_s, 3),
         },
     }
@@ -131,6 +150,7 @@ def measure(full: bool = False, jobs: int = 8) -> dict[str, typing.Any]:
         "matrix": matrix,
         "fluid_speedup": round(exact_s / fluid_s, 1),
         "fluid_scaling": round(walls[1] / walls[0], 2),
+        "telemetry_overhead": round(telemetry_s / exact_s, 2),
     }
     if full:
         # The acceptance cell: 1000 hosts x 1000 sessions = 1M fluid

@@ -57,7 +57,15 @@ class FleetReport:
     the merged telemetry; empty without an ``[slo]`` table."""
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The report's fields as a dict over its own containers.
+
+        Not a copy: the telemetry alone can run to tens of megabytes, and
+        report data is read-only once merged.
+        """
+        return {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+        }
 
     def render(self) -> str:
         """A human-readable summary block."""

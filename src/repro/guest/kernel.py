@@ -32,6 +32,7 @@ from repro.units import MiB
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.machine import PhysicalMachine
     from repro.simkernel import Simulator
+    from repro.simkernel.metrics import Instrument
     from repro.vmm.domain import Domain
     from repro.vmm.hypervisor import Hypervisor
 
@@ -85,6 +86,12 @@ class GuestKernel:
         self.boot_epoch = 0
         self._sentinel_token: typing.Any = None
         self._grant_refs: list[int] = []
+        # Page-cache byte counters, resolved on first use (a registry
+        # lookup per read builds a label dict and key).  Lazily, one at a
+        # time, so a guest that never hits (or never misses) registers no
+        # zero-valued instrument.
+        self._metric_hits: "Instrument | None" = None
+        self._metric_misses: "Instrument | None" = None
         self.changed = ChangeSignal()
 
     def _enter(self, state: GuestState) -> None:
@@ -337,19 +344,24 @@ class GuestKernel:
         nbytes = size if nbytes is None else min(nbytes, size)
         cached, uncached = self.page_cache.split_read(path, nbytes)
         machine = self.machine
-        metrics = self.sim.metrics
         if cached:
             yield machine.membus.execute(float(cached))
             self.page_cache.touch(path)
-            metrics.counter(
-                "guest.page_cache_hit_bytes", domain=self.name
-            ).inc(cached)
+            hits = self._metric_hits
+            if hits is None:
+                hits = self._metric_hits = self.sim.metrics.counter(
+                    "guest.page_cache_hit_bytes", domain=self.name
+                )
+            hits.inc(cached)
         if uncached:
             yield machine.disk.read(f"{self.name}:{path}", uncached)
             self.page_cache.insert(path, uncached)
-            metrics.counter(
-                "guest.page_cache_miss_bytes", domain=self.name
-            ).inc(uncached)
+            misses = self._metric_misses
+            if misses is None:
+                misses = self._metric_misses = self.sim.metrics.counter(
+                    "guest.page_cache_miss_bytes", domain=self.name
+                )
+            misses.inc(uncached)
         return nbytes
 
     def warm_file_cache(self, paths: typing.Iterable[str]) -> typing.Generator:

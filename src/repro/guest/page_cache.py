@@ -73,7 +73,7 @@ class PageCache:
         self._cached.move_to_end(path)
         if target != before:
             self._used += target - before
-            self._evict_to_fit(keep=path)
+            self._evict_to_fit()
             self.changed.fire()
         return self._cached.get(path, 0)
 
@@ -96,16 +96,13 @@ class PageCache:
             self._used = 0
             self.changed.fire()
 
-    def _evict_to_fit(self, keep: str) -> None:
+    def _evict_to_fit(self) -> None:
+        """Drop LRU files until the cache fits.  The file just inserted
+        sits at the MRU end, clamped to capacity, so it fits on its own
+        and is never a victim."""
         cached = self._cached
         while self._used > self.capacity_bytes:
-            victim = next(iter(cached))
-            if victim == keep:
-                # The kept file alone exceeds capacity: trim it.
-                self._used -= cached[keep] - self.capacity_bytes
-                cached[keep] = self.capacity_bytes
-                break
-            self._used -= cached.pop(victim)
+            self._used -= cached.pop(next(iter(cached)))
 
     def resident_files(self) -> list[str]:
         """Paths with any cached bytes, LRU-first."""

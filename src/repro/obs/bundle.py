@@ -79,8 +79,16 @@ class ShardTelemetry:
     triggers: list[dict]
 
     def to_dict(self) -> dict:
-        """The blob as plain data (the cell-payload form)."""
-        return dataclasses.asdict(self)
+        """The blob as plain data (the cell-payload form).
+
+        A dict over the blob's own containers, not a copy: the data was
+        copied out of the simulator once, by :func:`capture_shard`, and
+        every holder after that treats it as read-only.
+        """
+        return {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardTelemetry":
@@ -99,7 +107,13 @@ def capture_shard(
     audit: typing.Sequence[dict] = (),
     triggers: typing.Sequence[dict] = (),
 ) -> ShardTelemetry:
-    """Snapshot one shard simulator into a plain-data telemetry blob."""
+    """Snapshot one shard simulator into a plain-data telemetry blob.
+
+    This is the one place telemetry is copied out of live state: the
+    blob shares no container with the simulator or the control loop, so
+    everything downstream (cell payload, merge, bundle, fleet report)
+    hands it over by reference.
+    """
     flat: list[tuple[int, dict]] = []
     for prefix in RECORD_PREFIXES:
         for record in sim.trace.select(prefix):
@@ -116,8 +130,8 @@ def capture_shard(
         spans=resolve_spans(sim.trace),
         records=[record for _, record in flat],
         metrics=sim.metrics.series_snapshot() if sim.metrics.enabled else {},
-        audit=list(audit),
-        triggers=list(triggers),
+        audit=[dict(entry) for entry in audit],
+        triggers=[dict(entry) for entry in triggers],
     )
 
 
@@ -205,7 +219,11 @@ class TelemetryBundle:
     # -- (de)serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The bundle as plain data: fleet name, host→shard map, blobs."""
+        """The bundle as plain data: fleet name, host→shard map, blobs.
+
+        The shard dicts are views over the blobs' own containers (see
+        :meth:`ShardTelemetry.to_dict`); nothing is copied.
+        """
         return {
             "fleet": self.fleet,
             "hosts": self.host_shard(),

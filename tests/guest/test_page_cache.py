@@ -83,8 +83,13 @@ class TestEviction:
         assert cache.cached_bytes("/b") == 0
 
     def test_single_file_larger_than_capacity_trimmed(self):
+        """An oversized insert keeps exactly ``capacity_bytes`` of the new
+        file and evicts every other file."""
         cache = PageCache(mib(10))
-        cache.insert("/huge", mib(50))
+        for path in ("/a", "/b", "/c"):
+            cache.insert(path, mib(3))
+        assert cache.insert("/huge", mib(50)) == mib(10)
+        assert cache.resident_files() == ["/huge"]
         assert cache.cached_bytes("/huge") == mib(10)
         assert cache.used_bytes == mib(10)
 

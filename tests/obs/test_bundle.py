@@ -89,6 +89,48 @@ class TestCaptureShard:
         # The blob is plain data: it survives its own dict round trip.
         assert ShardTelemetry.from_dict(blob.to_dict()) == blob
 
+    def test_blob_shares_nothing_with_live_state(self):
+        """Capture is the one copy out of the simulator: running on and
+        mutating the registry, the trace and the control loop's audit
+        and trigger entries afterwards leaves the blob unchanged."""
+        sim = Simulator(metrics=True)
+        counter = sim.metrics.counter("nic.tx_bytes", nic="host0.nic")
+
+        def activity():
+            with sim.spans.span("reboot", actor="host0", detail="warm"):
+                sim.trace.record(
+                    "service.down", service="apache0",
+                    service_kind="apache", domain="vm0",
+                )
+                counter.inc(512.0)
+                yield sim.timeout(40.0)
+                # Past the capture: ends the open span, extends the
+                # series and the trace.
+                counter.inc(1024.0)
+                sim.trace.record(
+                    "service.up", service="apache0",
+                    service_kind="apache", domain="vm0",
+                )
+
+        sim.spawn(activity())
+        sim.run(until=20.0)
+        audit = [{"time": 10.0, "cycle": 0, "action": "no-op",
+                  "target": "", "outcome": "noop", "span": 1}]
+        triggers = [{"time": 5.0, "detector": "aging", "host": "host0",
+                     "value": 0.5}]
+        blob = capture_shard(
+            sim, 0, ["host0"], audit=audit, triggers=triggers
+        )
+        before = json.dumps(blob.to_dict())
+        assert blob.spans[0]["end"] is None
+
+        sim.run()
+        sim.metrics.counter("nic.tx_bytes", nic="host1.nic").inc(1.0)
+        audit[0]["outcome"] = "failed"
+        audit.append(dict(audit[0]))
+        triggers[0]["value"] = 9.0
+        assert json.dumps(blob.to_dict()) == before
+
     def test_metrics_disabled_captures_empty_series(self, sim):
         blob = capture_shard(sim, 0, ["host0"])
         assert blob.metrics == {}

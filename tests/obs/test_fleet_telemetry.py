@@ -7,12 +7,15 @@ fanned out across worker processes, or were replayed from the
 content-addressed cache.
 """
 
+import copy
+import dataclasses
 import json
 
 import pytest
 
 from repro.experiments.parallel import SweepStats
-from repro.fleet import FleetSpec, run_fleet
+from repro.fleet import FleetSpec, fleet_cells, merge_shards, run_fleet
+from repro.jobs import run_cells
 from repro.obs import TelemetryBundle
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -119,3 +122,96 @@ class TestTelemetrySwitch:
         bundle = TelemetryBundle.from_dict(report.telemetry)
         assert len(bundle.shards) == 2
         assert report.slo == {}  # no spec, no verdict
+
+
+def _asdict_bundle(bundle: TelemetryBundle) -> dict:
+    """The bundle's plain-data form built the copying way, with
+    ``dataclasses.asdict`` — the reference the copy-free
+    :meth:`TelemetryBundle.to_dict` must match byte for byte."""
+    return {
+        "fleet": bundle.fleet,
+        "hosts": bundle.host_shard(),
+        "shards": [dataclasses.asdict(shard) for shard in bundle.shards],
+    }
+
+
+class TestCopyFreeHandOff:
+    """``capture_shard`` is the only copy of telemetry out of the
+    simulator; the cell payload, the merge, the bundle and the fleet
+    report hand the blobs over by reference.
+
+    Deep copies are counted rather than timed, so the gate is exact on
+    any machine: a recursive copy of the bundle anywhere on the path
+    costs hundreds of thousands of ``copy.deepcopy`` calls.
+    """
+
+    MAX_DEEPCOPIES = 100
+
+    @pytest.fixture(scope="class")
+    def handoff(self):
+        spec = _fleet(
+            workloads=[
+                {
+                    "kind": "httperf",
+                    "service": "apache",
+                    "mode": "exact",
+                    "concurrency": 4,
+                    "files": 4,
+                    "file_kib": 512.0,
+                }
+            ],
+            policy={
+                "strategy": "fleet-order",
+                "interval_s": 30.0,
+                "aging_threshold": 0.0001,
+                "aging_rearm": 0.0,
+                "cooldown_s": 60.0,
+                "min_hosts_up": 0,
+            },
+        )
+        calls = 0
+        deepcopy = copy.deepcopy
+
+        def counting_deepcopy(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return deepcopy(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(copy, "deepcopy", counting_deepcopy)
+            plan = fleet_cells(spec)
+            results = run_cells(plan, jobs=1, use_cache=False)
+            payloads = [results[(cell.experiment_id, cell.key)] for cell in plan]
+            report = merge_shards(spec, payloads)
+            encoded = json.dumps(report.to_dict(), allow_nan=False)
+        return payloads, report, encoded, calls
+
+    def test_deepcopy_calls_stay_constant(self, handoff):
+        _, report, _, calls = handoff
+        assert report.telemetry and report.slo
+        assert calls <= self.MAX_DEEPCOPIES
+
+    def test_report_holds_the_payload_blobs(self, handoff):
+        payloads, report, _, _ = handoff
+        shards = report.telemetry["shards"]
+        assert len(shards) == len(payloads) == 2
+        for shard, payload in zip(shards, payloads):
+            blob = payload["telemetry"]
+            for field in ("metrics", "spans", "records", "audit", "triggers"):
+                assert shard[field] is blob[field]
+            # ...but capture copied the control loop's entries, so the
+            # policy summary and the blob share none of them.
+            policy = payload["policy"]
+            assert policy["trigger_log"]
+            for ours, theirs in (
+                (blob["audit"], policy["audit"]),
+                (blob["triggers"], policy["trigger_log"]),
+            ):
+                assert ours == theirs
+                assert all(a is not b for a, b in zip(ours, theirs))
+
+    def test_bytes_match_the_copying_path(self, handoff):
+        _, report, encoded, _ = handoff
+        assert encoded == json.dumps(dataclasses.asdict(report), allow_nan=False)
+        bundle = TelemetryBundle.from_dict(report.telemetry)
+        assert json.dumps(bundle.to_dict()) == json.dumps(_asdict_bundle(bundle))

@@ -3,6 +3,7 @@
 import pytest
 
 from benchmarks.perf_report import (
+    FLEET_TELEMETRY_MAX_OVERHEAD,
     FLUID_MAX_SCALING,
     REGRESSION_SLACK,
     check,
@@ -139,3 +140,28 @@ class TestFluidScalingGate:
 
     def test_ceiling_is_inclusive(self, capsys):
         assert check(self._fresh(FLUID_MAX_SCALING), {}) == 0
+
+
+class TestFleetTelemetryOverheadGate:
+    """Same-run gate: exact fleet wall with telemetry over without."""
+
+    @staticmethod
+    def _fresh(overhead):
+        return {
+            "kernel": {},
+            "fleet": {"matrix": {}, "telemetry_overhead": overhead},
+            "experiments_s": {},
+        }
+
+    def test_single_copy_passes(self, capsys):
+        assert check(self._fresh(1.1), {}) == 0
+        assert "[ok] fleet telemetry_overhead" in capsys.readouterr().out
+
+    def test_copying_bundle_fails_regardless_of_tolerance(self, capsys):
+        # Both walls came from one run on one machine, so the hardware
+        # tolerance must not widen the ceiling.
+        assert check(self._fresh(1.6), {}, tolerance=10.0) == 1
+        assert "[FAIL] fleet telemetry_overhead" in capsys.readouterr().out
+
+    def test_ceiling_is_inclusive(self, capsys):
+        assert check(self._fresh(FLEET_TELEMETRY_MAX_OVERHEAD), {}) == 0
